@@ -5,7 +5,9 @@
 // through 10^4 / 10^5 / 10^6 nodes at one and several workers and
 // reports events/sec and wall time; every statistic column must be
 // identical across the worker counts of a given size (the engine's
-// byte-identity contract, pinned by tests/test_cst_parallel.cpp).
+// byte-identity contract, pinned by tests/test_cst_parallel.cpp). Each
+// row records the host's hardware thread count (`nproc`), so a row whose
+// workers outnumber the cores that ran it says so.
 //
 //   --smoke        tiny run for CI gating (exit 1 if the 1-vs-2 worker
 //                  statistics diverge)
@@ -14,6 +16,7 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -66,6 +69,7 @@ void add_row(TextTable& table, std::size_t n, double duration,
   table.row()
       .cell(n)
       .cell(r.workers)
+      .cell(static_cast<std::size_t>(std::thread::hardware_concurrency()))
       .cell(duration, 0)
       .cell(r.stats.events)
       .cell(eps, 0)
@@ -146,9 +150,9 @@ int main(int argc, char** argv) {
                                     {1'000'000, 8.0}}
           : std::vector<ScalePoint>{{10'000, 40.0}, {100'000, 8.0}};
 
-  TextTable table({"n", "workers", "duration", "events", "events_per_sec",
-                   "wall ms", "coverage %", "min holders", "max holders",
-                   "handovers"});
+  TextTable table({"n", "workers", "nproc", "duration", "events",
+                   "events_per_sec", "wall ms", "coverage %", "min holders",
+                   "max holders", "handovers"});
   for (const ScalePoint& p : points) {
     const RunResult serial = run_ssrmin(p.n, p.duration, 1);
     add_row(table, p.n, p.duration, serial);

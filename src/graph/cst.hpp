@@ -111,9 +111,11 @@ class GraphCstSimulation {
       sh.id = s;
       sh.lo = layout_.begin(s);
       sh.hi = layout_.end(s);
+      // One delivery per incoming link (each also freeing its sender's
+      // link) plus one timer and at most one execution per node; the
+      // kLinkFree records of shard-crossing links spill past the reserve.
       const std::size_t span_edges = off_[sh.hi] - off_[sh.lo];
-      sh.heap = pdes::make_heap_reserved(2 * span_edges +
-                                         2 * (sh.hi - sh.lo) + 64);
+      sh.heap.reserve(span_edges + 2 * (sh.hi - sh.lo) + 64);
       sh.slab.reserve(span_edges + 16);
       sh.outbox.resize(workers_);
     }
@@ -178,6 +180,9 @@ class GraphCstSimulation {
     State payload{};
     std::uint32_t dest = 0;
     std::uint32_t dest_slot = 0;  ///< receiver-side cache slot
+    /// Sender-side local link index, read when the delivery frees the
+    /// sender's link (kEvFreeLink).
+    std::uint32_t src_link = 0;
   };
 
   struct BoundaryFrame {
@@ -246,20 +251,23 @@ class GraphCstSimulation {
     const std::uint32_t free_seq = node_seq_[i]++;
     const std::size_t dest = nbr_[e];
     const std::size_t dest_shard = layout_.shard_of(dest);
-    Frame frame{payload, static_cast<std::uint32_t>(dest), rev_slot_[e]};
+    Frame frame{payload, static_cast<std::uint32_t>(dest), rev_slot_[e],
+                static_cast<std::uint32_t>(k)};
     if (dest_shard == sh.id) {
+      // One record for delivery and link completion, as in
+      // msgpass::CstSimulation::transmit. Lost frames are interned too, so
+      // the completion finds the sender's link index in the Frame.
       pdes::HeapRec rec;
       rec.time = arrive;
       rec.order = pdes::make_order(i, delivery_seq);
-      rec.slot =
-          (flags & pdes::kEvLost) ? pdes::kNoSlot : sh.slab.intern(frame);
+      rec.slot = sh.slab.intern(frame);
       rec.kind = pdes::EvKind::kDelivery;
-      rec.flags = flags;
+      rec.flags = flags | pdes::kEvFreeLink;
       sh.heap.push(rec);
-    } else {
-      sh.outbox[dest_shard].push_back(
-          {arrive, pdes::make_order(i, delivery_seq), frame, flags});
+      return;
     }
+    sh.outbox[dest_shard].push_back(
+        {arrive, pdes::make_order(i, delivery_seq), frame, flags});
     // Sender-local link completion (see msgpass::CstSimulation::transmit);
     // slot carries the local link index, which exceeds the dir byte.
     pdes::HeapRec link_free;
@@ -306,41 +314,63 @@ class GraphCstSimulation {
     sh.heap.push(next);
   }
 
-  void dispatch(Shard& sh, const pdes::HeapRec& rec) {
-    const std::size_t creator = pdes::order_creator(rec.order);
-    if (rec.kind == pdes::EvKind::kLinkFree) {
-      const std::size_t e = off_[creator] + rec.slot;
-      SSR_ASSERT(link_busy_[e], "link-free on an idle link");
-      link_busy_[e] = 0;
-      if (link_has_pending_[e]) {
-        link_has_pending_[e] = 0;
-        transmit(sh, creator, rec.slot, link_pending_[e], rec.time);
-      }
-      return;
+  /// Node @p sender's transmission along its @p k-th link completes (see
+  /// msgpass::CstSimulation::free_link).
+  void free_link(Shard& sh, std::size_t sender, std::size_t k,
+                 msgpass::Time now) {
+    const std::size_t e = off_[sender] + k;
+    SSR_ASSERT(link_busy_[e], "link-free on an idle link");
+    link_busy_[e] = 0;
+    if (link_has_pending_[e]) {
+      link_has_pending_[e] = 0;
+      transmit(sh, sender, k, link_pending_[e], now);
     }
-    std::size_t v = creator;
-    if (rec.kind == pdes::EvKind::kDelivery) {
-      ++sh.ctr.deliveries;
-      ++sh.ctr.events;
-      if (rec.flags & pdes::kEvLost) {
-        // A lost frame changes no node state, so it cannot flip any
-        // predicate; count it and move on.
-        ++sh.ctr.losses;
-        return;
-      }
-      const Frame frame = sh.slab.take(rec.slot);
-      v = frame.dest;
+  }
+
+  void handle_delivery(Shard& sh, const pdes::HeapRec& rec) {
+    ++sh.ctr.deliveries;
+    ++sh.ctr.events;
+    const Frame frame = sh.slab.take(rec.slot);
+    if (rec.flags & pdes::kEvLost) {
+      // A lost frame changes no node state, so it cannot flip any
+      // predicate; count it and move on.
+      ++sh.ctr.losses;
+    } else {
+      const std::size_t v = frame.dest;
       cache_[off_[v] + frame.dest_slot] = frame.payload;
       maybe_schedule_execution(sh, v, rec.time);
       broadcast(sh, v, rec.time);
-    } else {
-      ++sh.ctr.events;
-      if (rec.kind == pdes::EvKind::kTimer) {
-        handle_timer(sh, v, rec.time);
-      } else {
-        handle_execute(sh, v, rec.time);
-      }
+      log_flip(sh, rec, v);
     }
+    if (rec.flags & pdes::kEvFreeLink) {
+      free_link(sh, pdes::order_creator(rec.order), frame.src_link, rec.time);
+    }
+  }
+
+  void dispatch(Shard& sh, const pdes::HeapRec& rec) {
+    const std::size_t creator = pdes::order_creator(rec.order);
+    switch (rec.kind) {
+      case pdes::EvKind::kLinkFree:
+        free_link(sh, creator, rec.slot, rec.time);
+        return;
+      case pdes::EvKind::kDelivery:
+        handle_delivery(sh, rec);
+        return;
+      case pdes::EvKind::kTimer:
+        ++sh.ctr.events;
+        handle_timer(sh, creator, rec.time);
+        break;
+      case pdes::EvKind::kExecute:
+        ++sh.ctr.events;
+        handle_execute(sh, creator, rec.time);
+        break;
+    }
+    log_flip(sh, rec, creator);
+  }
+
+  /// Logs node @p v's predicate flip, if the event changed it, under the
+  /// event's key.
+  void log_flip(Shard& sh, const pdes::HeapRec& rec, std::size_t v) {
     const bool post = eval_active(v);
     if (post != (holder_bit_[v] != 0)) {
       holder_bit_[v] = post ? 1 : 0;
@@ -370,8 +400,7 @@ class GraphCstSimulation {
         pdes::HeapRec rec;
         rec.time = f.time;
         rec.order = f.order;
-        rec.slot =
-            (f.flags & pdes::kEvLost) ? pdes::kNoSlot : sh.slab.intern(f.frame);
+        rec.slot = sh.slab.intern(f.frame);
         rec.kind = pdes::EvKind::kDelivery;
         rec.flags = f.flags;
         sh.heap.push(rec);
@@ -386,6 +415,8 @@ class GraphCstSimulation {
     for (Shard& sh : shards_) sh.ctr = pdes::ShardCounters{};
     if (stop(*this)) {
       stopped_ = true;
+      // An empty window: its initial count is its only count.
+      stats.min_holders = stats.max_holders = holder_count_;
       return stats;
     }
     const msgpass::Time start = now_;

@@ -208,10 +208,11 @@ class CstSimulation {
       sh.lo = layout_.begin(s);
       sh.hi = layout_.end(s);
       const std::size_t span = sh.hi - sh.lo;
-      // Steady-state in-flight events per node: one timer, at most one
-      // pending execution, two incoming deliveries plus the matching
-      // link-free records; ghosts and bursts spill past the reserve.
-      sh.heap = pdes::make_heap_reserved(6 * span + 64);
+      // Steady-state in-flight records per node: one timer, at most one
+      // pending execution and two incoming deliveries, each of which also
+      // frees its sender's link; ghosts, bursts and the kLinkFree records
+      // of the two shard-crossing links spill past the reserve.
+      sh.heap.reserve(4 * span + 64);
       sh.slab.reserve(2 * span + 16);
       sh.outbox.resize(workers_);
     }
@@ -402,11 +403,16 @@ class CstSimulation {
     // delay >= delay_min in every model, so arrive lands at or beyond the
     // current round's horizon whenever it crosses a shard boundary.
     const Time arrive = pdes::advance_time(now, delay);
+    // Every transmission takes two keys: the delivery (i, s) and the link
+    // completion (i, s + 1).
     const std::uint32_t delivery_seq = node_seq_[i]++;
     const std::uint32_t free_seq = node_seq_[i]++;
     const std::uint64_t order = pdes::make_order(i, delivery_seq);
     const std::size_t dest_shard = layout_.shard_of(dest);
     if (dest_shard == sh.id) {
+      // One record for both: no key lies between (arrive, i, s) and
+      // (arrive, i, s + 1), and handling the delivery schedules nothing at
+      // `arrive`, so the completion would pop right after the delivery.
       pdes::HeapRec rec;
       rec.time = arrive;
       rec.order = order;
@@ -414,12 +420,12 @@ class CstSimulation {
           (flags & pdes::kEvLost) ? pdes::kNoSlot : sh.slab.intern(payload);
       rec.kind = pdes::EvKind::kDelivery;
       rec.dir = static_cast<std::uint8_t>(d);
-      rec.flags = flags;
+      rec.flags = flags | pdes::kEvFreeLink;
       sh.heap.push(rec);
-    } else {
-      sh.outbox[dest_shard].push_back(
-          {arrive, order, payload, static_cast<std::uint8_t>(d), flags});
+      return;
     }
+    sh.outbox[dest_shard].push_back(
+        {arrive, order, payload, static_cast<std::uint8_t>(d), flags});
     // The sender frees its own link when the transmission completes — the
     // legacy engine mutated the sender's link from the receiver's delivery
     // handler, which would be a cross-shard write.
@@ -541,20 +547,25 @@ class CstSimulation {
     sh.heap.push(next);
   }
 
+  /// The sender's transmission along direction @p dir completes: its link
+  /// frees and carries the parked newest state, if any. Pure bookkeeping
+  /// on the sender side: not a protocol event (not counted, not
+  /// crash-gated — the legacy engine freed links from inside delivery
+  /// handling, with the same immunity).
+  void free_link(Shard& sh, std::size_t sender, std::uint8_t dir, Time now) {
+    const std::size_t idx = 2 * sender + dir;
+    SSR_ASSERT(link_busy_[idx], "link-free on an idle link");
+    link_busy_[idx] = 0;
+    if (link_has_pending_[idx]) {
+      link_has_pending_[idx] = 0;
+      transmit(sh, sender, static_cast<Dir>(dir), link_pending_[idx], now);
+    }
+  }
+
   void dispatch(Shard& sh, const pdes::HeapRec& rec) {
     const std::size_t creator = pdes::order_creator(rec.order);
     if (rec.kind == pdes::EvKind::kLinkFree) {
-      // Pure bookkeeping on the sender side: not a protocol event (not
-      // counted, not crash-gated — the legacy engine freed links from
-      // inside delivery handling, with the same immunity).
-      const std::size_t idx = 2 * creator + rec.dir;
-      SSR_ASSERT(link_busy_[idx], "link-free on an idle link");
-      link_busy_[idx] = 0;
-      if (link_has_pending_[idx]) {
-        link_has_pending_[idx] = 0;
-        transmit(sh, creator, static_cast<Dir>(rec.dir), link_pending_[idx],
-                 rec.time);
-      }
+      free_link(sh, creator, rec.dir, rec.time);
       return;
     }
     // The acting node: the receiver for deliveries (a ghost's creator *is*
@@ -602,6 +613,9 @@ class CstSimulation {
       sh.flips.push_back({rec.time, rec.order, static_cast<std::uint32_t>(v),
                           static_cast<std::uint8_t>(post)});
     }
+    if (rec.flags & pdes::kEvFreeLink) {
+      free_link(sh, creator, rec.dir, rec.time);
+    }
   }
 
   /// One round's worth of events for one shard: everything strictly below
@@ -647,6 +661,8 @@ class CstSimulation {
     for (Shard& sh : shards_) sh.ctr = pdes::ShardCounters{};
     if (stop(*this)) {
       stopped_ = true;
+      // An empty window: its initial count is its only count.
+      stats.min_holders = stats.max_holders = holder_count_;
       return stats;
     }
     const Time start = now_;

@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -107,12 +106,17 @@ enum class EvKind : std::uint8_t {
   kDelivery = 0,  ///< message arrival at the receiver
   kTimer = 1,     ///< CST refresh broadcast
   kExecute = 2,   ///< deferred rule execution after the service delay
-  kLinkFree = 3,  ///< the sender's link completes its transmission
+  /// The sender's link completes a transmission to another shard. A
+  /// same-shard delivery carries the completion as kEvFreeLink instead.
+  kLinkFree = 3,
 };
 
 inline constexpr std::uint8_t kEvLost = 1;            ///< frame decided lost
 inline constexpr std::uint8_t kEvDuplicate = 2;       ///< ghost re-delivery
 inline constexpr std::uint8_t kEvForceDuplicate = 4;  ///< injector-scripted
+/// The delivery also completes its sender's transmission: once the
+/// delivery is handled, the sender's link frees (see EvKind::kLinkFree).
+inline constexpr std::uint8_t kEvFreeLink = 8;
 
 inline constexpr std::uint32_t kNoSlot =
     std::numeric_limits<std::uint32_t>::max();
@@ -139,23 +143,70 @@ struct HeapRec {
   std::uint8_t dir = 0;    ///< ring direction or (graph) unused
   std::uint8_t flags = 0;  ///< kEv* bits
 };
+static_assert(sizeof(HeapRec) == 24, "heap records stay 24 bytes");
 
-struct HeapRecGreater {
-  bool operator()(const HeapRec& a, const HeapRec& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.order > b.order;
+/// Min-heap of HeapRecs on the (time, order) key, stored as an implicit
+/// 4-ary tree in one vector. A node's four children sit next to each other
+/// (96 bytes), so a sift-down reads about two cache lines per level over a
+/// tree half as deep as a binary heap's. Keys are unique, so the pop order
+/// is the key order whatever the heap's shape.
+class EventHeap {
+ public:
+  void reserve(std::size_t capacity) { recs_.reserve(capacity); }
+  bool empty() const { return recs_.empty(); }
+  std::size_t size() const { return recs_.size(); }
+
+  const HeapRec& top() const {
+    SSR_ASSERT(!recs_.empty(), "top of an empty event heap");
+    return recs_.front();
   }
+
+  /// Takes @p rec by value: the push_back may reallocate, and the sift-up
+  /// still reads the record afterwards.
+  void push(HeapRec rec) {
+    std::size_t hole = recs_.size();
+    recs_.push_back(rec);
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / kArity;
+      if (!before(rec, recs_[parent])) break;
+      recs_[hole] = recs_[parent];
+      hole = parent;
+    }
+    recs_[hole] = rec;
+  }
+
+  void pop() {
+    SSR_ASSERT(!recs_.empty(), "pop from an empty event heap");
+    const HeapRec last = recs_.back();
+    recs_.pop_back();
+    const std::size_t n = recs_.size();
+    if (n == 0) return;
+    std::size_t hole = 0;
+    for (;;) {
+      const std::size_t first = kArity * hole + 1;
+      if (first >= n) break;
+      const std::size_t end = std::min(first + kArity, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (before(recs_[c], recs_[best])) best = c;
+      }
+      if (!before(recs_[best], last)) break;
+      recs_[hole] = recs_[best];
+      hole = best;
+    }
+    recs_[hole] = last;
+  }
+
+ private:
+  static constexpr std::size_t kArity = 4;
+
+  static bool before(const HeapRec& a, const HeapRec& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.order < b.order;
+  }
+
+  std::vector<HeapRec> recs_;
 };
-
-using EventHeap =
-    std::priority_queue<HeapRec, std::vector<HeapRec>, HeapRecGreater>;
-
-/// An EventHeap whose backing vector is reserved up front.
-inline EventHeap make_heap_reserved(std::size_t capacity) {
-  std::vector<HeapRec> backing;
-  backing.reserve(capacity);
-  return EventHeap(HeapRecGreater{}, std::move(backing));
-}
 
 /// Free-list slab of by-value payloads, one per in-flight message copy.
 template <typename Payload>

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "core/legitimacy.hpp"
+#include "graph/cst.hpp"
+#include "graph/mis.hpp"
+#include "graph/topology.hpp"
 #include "msgpass/factories.hpp"
 
 namespace ssr::msgpass {
@@ -147,6 +150,46 @@ TEST(CstSimulation, RunUntilDeadlinePassesWhenNeverStopped) {
                 20.0, &stopped);
   EXPECT_FALSE(stopped);
   EXPECT_DOUBLE_EQ(sim.now(), 20.0);
+}
+
+TEST(CstSimulation, StopBeforeTheFirstRoundReportsTheCurrentCount) {
+  // An empty window's holder extremes are its initial count, not the
+  // [SIZE_MAX, 0] of an unset CoverageStats.
+  core::SsrMinRing ring(5, 6);
+  auto sim = make_ssrmin_cst(ring, core::canonical_legitimate(ring, 0),
+                             quiet_net());
+  bool stopped = false;
+  const CoverageStats stats = sim.run_until(
+      [](const CstSimulation<core::SsrMinRing>&) { return true; }, 100.0,
+      &stopped);
+  EXPECT_TRUE(stopped);
+  EXPECT_EQ(stats.observed_time, 0.0);
+  EXPECT_EQ(stats.events, 0u);
+  EXPECT_EQ(sim.holder_count(), 1u);
+  EXPECT_EQ(stats.min_holders, 1u);
+  EXPECT_EQ(stats.max_holders, 1u);
+}
+
+TEST(GraphCstSimulation, StopBeforeTheFirstRoundReportsTheCurrentCount) {
+  const graph::Topology g = graph::Topology::ring(6);
+  graph::MisConfig initial(6);
+  initial[0].status = graph::MisStatus::kIn;
+  initial[3].status = graph::MisStatus::kIn;
+  auto active = [](std::size_t, const graph::MisState& self,
+                   std::span<const graph::MisState>) {
+    return self.status == graph::MisStatus::kIn;
+  };
+  graph::GraphCstSimulation<graph::TurauMis> sim(graph::TurauMis(g), initial,
+                                                 active, quiet_net());
+  bool stopped = false;
+  const CoverageStats stats = sim.run_until(
+      [](const graph::GraphCstSimulation<graph::TurauMis>&) { return true; },
+      100.0, &stopped);
+  EXPECT_TRUE(stopped);
+  EXPECT_EQ(stats.events, 0u);
+  EXPECT_EQ(sim.active_count(), 2u);
+  EXPECT_EQ(stats.min_holders, 2u);
+  EXPECT_EQ(stats.max_holders, 2u);
 }
 
 TEST(CstSimulation, LossesAreCountedAndRepaired) {
