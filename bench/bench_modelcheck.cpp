@@ -25,7 +25,8 @@
 // `rss_mib` the process high-water RSS when the row finished — monotone
 // across rows, so read it as an upper bound, not a per-row delta.
 //
-// `--smoke` runs a minimal quad-mode pass (for the sanitizer CI job),
+// `--smoke` runs a minimal pass over every storage mode (for the
+// sanitizer CI job),
 // cross-checks the sliced Phase A against the scalar sweep for report
 // identity, forces a kAuto spill under a tight budget, and prints peak
 // RSS.
@@ -143,11 +144,10 @@ void run_row(ssr::TextTable& table, ssr::TextTable& trajectory,
   }
 }
 
-/// The headline perf_opt claim: on the same space, the compressed Phase B
-/// holds a small fraction of the legacy CSR's bytes at comparable wall
-/// time, and the spill tier keeps even less resident by streaming the
-/// move records through disk. Runs the space in every storage mode at the
-/// given thread counts and prints the peak ratios.
+/// The same space in every storage mode: the compressed Phase B holds the
+/// move records in RAM, csr-free re-derives them, and the spill tier keeps
+/// the least resident by streaming them through disk. Runs the space at
+/// the given thread counts and prints the peaks and the wall-time ratio.
 template <typename Checker>
 void run_mode_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
                          const std::string& name, std::size_t n,
@@ -156,10 +156,7 @@ void run_mode_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
                          const std::vector<std::size_t>& threads_list) {
   using ssr::verify::PhaseBStorage;
   for (std::size_t threads : threads_list) {
-    double legacy_ms = 0.0, compressed_ms = 0.0, csrfree_ms = 0.0,
-           spill_ms = 0.0;
-    const auto legacy = run_once(checker, options, threads,
-                                 PhaseBStorage::kLegacyCsr, legacy_ms);
+    double compressed_ms = 0.0, csrfree_ms = 0.0, spill_ms = 0.0;
     const auto compressed = run_once(checker, options, threads,
                                      PhaseBStorage::kCompressed,
                                      compressed_ms);
@@ -167,12 +164,11 @@ void run_mode_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
                                   PhaseBStorage::kCsrFree, csrfree_ms);
     const auto spill = run_once(checker, options, threads,
                                 PhaseBStorage::kSpill, spill_ms);
-    for (const auto* pair : {&legacy, &compressed, &csrfree, &spill}) {
+    for (const auto* pair : {&compressed, &csrfree, &spill}) {
       const ssr::verify::CheckReport& r = *pair;
-      const double ms = (pair == &legacy)       ? legacy_ms
-                        : (pair == &compressed) ? compressed_ms
-                        : (pair == &csrfree)    ? csrfree_ms
-                                                : spill_ms;
+      const double ms = (pair == &compressed) ? compressed_ms
+                        : (pair == &csrfree)  ? csrfree_ms
+                                              : spill_ms;
       const double peak_mib =
           static_cast<double>(r.stats.measured_peak_bytes) / kMiB;
       table.row()
@@ -194,17 +190,16 @@ void run_mode_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
           .cell(ms, 0);
       add_trajectory_row(trajectory, name, n, K, r, threads, ms);
     }
-    const double mem_ratio =
-        static_cast<double>(legacy.stats.measured_peak_bytes) /
-        static_cast<double>(compressed.stats.measured_peak_bytes);
     char line[320];
     std::snprintf(line, sizeof(line),
-                  "mode comparison %s(%zu,%u) threads=%zu: peak "
-                  "legacy/compressed = %.1fx, wall compressed/legacy = "
-                  "%.2fx, csr-free peak = %.1f MiB, spill peak = %.1f MiB "
-                  "(+%.1f MiB on disk, read-amp %.2fx)\n",
-                  name.c_str(), n, K, threads, mem_ratio,
-                  compressed_ms / legacy_ms,
+                  "mode comparison %s(%zu,%u) threads=%zu: compressed peak "
+                  "= %.1f MiB, wall csr-free/compressed = %.2fx, csr-free "
+                  "peak = %.1f MiB, spill peak = %.1f MiB (+%.1f MiB on "
+                  "disk, read-amp %.2fx)\n",
+                  name.c_str(), n, K, threads,
+                  static_cast<double>(compressed.stats.measured_peak_bytes) /
+                      kMiB,
+                  csrfree_ms / compressed_ms,
                   static_cast<double>(csrfree.stats.measured_peak_bytes) /
                       kMiB,
                   static_cast<double>(spill.stats.measured_peak_bytes) / kMiB,
@@ -269,15 +264,15 @@ void run_phase_a_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
 
 int run_smoke() {
   using namespace ssr;
-  std::cout << "bench_modelcheck --smoke: quad-mode sanity pass\n";
+  std::cout << "bench_modelcheck --smoke: storage-mode sanity pass\n";
   verify::CheckOptions ssr_options;
   verify::CheckOptions dij_options;
   dij_options.min_privileged = 1;
   dij_options.max_privileged = 1;
   int failures = 0;
   for (verify::PhaseBStorage storage :
-       {verify::PhaseBStorage::kLegacyCsr, verify::PhaseBStorage::kCompressed,
-        verify::PhaseBStorage::kCsrFree, verify::PhaseBStorage::kSpill}) {
+       {verify::PhaseBStorage::kCompressed, verify::PhaseBStorage::kCsrFree,
+        verify::PhaseBStorage::kSpill}) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
       double ms = 0.0;
       const auto ssrmin = run_once(verify::make_ssrmin_checker(3, 4),
@@ -388,7 +383,7 @@ int main(int argc, char** argv) {
             verify::make_ssrmin_checker(4, 7), ssr_options);
     // The big one: 24^5 ≈ 8M configurations, every distributed-daemon
     // subset choice — run in all three storage modes at 1 and 2 workers
-    // so the legacy/compressed peak-memory ratio is pinned in the output.
+    // so their peaks sit side by side in the output.
     run_mode_comparison(table, trajectory, "ssrmin", 5, 6,
                         verify::make_ssrmin_checker(5, 6), ssr_options,
                         {1, 2});
@@ -415,12 +410,12 @@ int main(int argc, char** argv) {
   if (bench::full_mode()) {
     run_row(table, trajectory, "dijkstra", 8, 9,
             verify::make_kstate_checker(8, 9), dij_options);
-    // The Hoepman K = N boundary at a size the CSR could still hold...
+    // The Hoepman K = N boundary at a size an explicit CSR could still hold...
     run_row(table, trajectory, "dijkstra", 8, 8,
             verify::make_kstate_checker(8, 8), dij_options);
     // ...and one it could not: 9^9 ≈ 387M configurations with ~69G
-    // daemon-subset edges. The legacy CSR would need ~0.5TiB; the slim
-    // backends fit in a few GiB, so this row exists only post-compression.
+    // daemon-subset edges. An explicit predecessor CSR would need ~0.5TiB;
+    // the slim backends fit in a few GiB.
     run_row(table, trajectory, "dijkstra", 9, 9,
             verify::make_kstate_checker(9, 9), dij_options);
   }

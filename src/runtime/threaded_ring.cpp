@@ -8,7 +8,6 @@ void RuntimeParams::validate() const {
   SSR_REQUIRE(refresh_interval.count() > 0, "refresh interval must be positive");
   SSR_REQUIRE(loss_probability >= 0.0 && loss_probability < 1.0,
               "loss probability must be in [0, 1)");
-  SSR_REQUIRE(channel_capacity > 0, "channel capacity must be positive");
 }
 
 std::unique_ptr<ThreadedRing<core::SsrMinRing>> make_ssrmin_threaded(

@@ -71,8 +71,6 @@ struct RuntimeParams {
   double loss_probability = 0.0;
   /// Seed for the per-node fault/jitter generators.
   std::uint64_t seed = 1;
-  /// Inbox capacity; overflow drops the stalest update.
-  std::size_t channel_capacity = 64;
   /// Full fault schedule (see runtime/fault_plan.hpp). Window times count
   /// from start().
   FaultPlan fault_plan;
@@ -106,7 +104,7 @@ class ThreadedRing {
     SSR_REQUIRE(initial_.size() == protocol_.size(),
                 "configuration size must equal ring size");
     for (std::size_t i = 0; i < initial_.size(); ++i) {
-      nodes_.push_back(std::make_unique<NodeShared>(params_.channel_capacity));
+      nodes_.push_back(std::make_unique<NodeShared>());
     }
     // Publish the initial (coherent) holder bits from the constructor so a
     // sampler never observes a bogus startup window.
@@ -293,7 +291,6 @@ class ThreadedRing {
   };
 
   struct NodeShared {
-    explicit NodeShared(std::size_t /*capacity*/) {}
     Mailbox inbox;
     PerNodeCounters counters;
   };

@@ -44,8 +44,7 @@ std::string CheckStats::summary() const {
      << "\n  lambda=" << mib(lambda_bytes) << " counts=" << mib(counts_bytes)
      << " offsets=" << mib(offsets_bytes) << " edges=" << mib(edges_bytes)
      << " heights=" << mib(heights_bytes)
-     << " frontier=" << mib(frontier_bytes)
-     << " escape_entries=" << escape_entries;
+     << " frontier=" << mib(frontier_bytes);
   if (mode == PhaseBStorage::kSpill) {
     os << "\n  spill=" << mib(spill_bytes) << " blocks_read=" << blocks_read
        << " read_amplification=" << read_amplification << "x path="

@@ -53,11 +53,6 @@
 //     storage, default kAuto picks from a projected-peak-bytes estimate
 //     against the memory budget — see phaseb_store.hpp):
 //
-//       kLegacyCsr   — the original explicit predecessor CSR (8-byte
-//                      offsets + 4-byte edge entries) peeled Kahn-style
-//                      with pending-successor counts. Fastest per edge,
-//                      but O(4 bytes) per *edge* and edges grow as
-//                      sum of 2^m - 1 over enabled sets m.
 //       kCompressed  — one delta-compressed move record per *source*
 //                      configuration (varint enabled-set mask + packed
 //                      digit deltas; the whole daemon fan-out is implied
@@ -134,7 +129,7 @@ struct CheckReport {
   /// Per-configuration worst-case steps to Lambda (indexed by encoded
   /// configuration; 0 for legitimate configurations). Populated only when
   /// CheckOptions::keep_heights is set and the convergence pass ran.
-  /// Packed as u16 per configuration with a sparse escape for outliers.
+  /// Packed as u16 per configuration.
   /// This is the exact "potential function" of the protocol — the
   /// OptimalAdversary driver and the perturbation analysis are built on
   /// it.
@@ -395,7 +390,6 @@ class ModelChecker {
     ConfigOdometer<State> od;
     SweepScratch s;
     Partial p;
-    std::vector<std::uint32_t> next;  ///< legacy peel: next frontier
     std::uint64_t edges = 0;          ///< daemon step edges seen
     std::uint64_t active0 = 0;        ///< initially active configs
     std::uint64_t finalized = 0;      ///< configs finalized this round
@@ -500,9 +494,6 @@ class ModelChecker {
     s.succs.erase(std::unique(s.succs.begin(), s.succs.end()), s.succs.end());
   }
 
-  void phase_b_legacy(util::ThreadPool& pool, std::vector<Worker>& ws,
-                      std::uint64_t chunk, const util::TwoLevelBitset& legit,
-                      const CheckOptions& options, CheckReport& report) const;
   void phase_b_packed(PhaseBStorage mode, util::ThreadPool& pool,
                       std::vector<Worker>& ws, std::uint64_t chunk,
                       const util::TwoLevelBitset& legit,
@@ -724,226 +715,20 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
   report.stats.memory_budget_bytes = budget;
   report.stats.projected_peak_bytes = projected;
 
-  if (mode == PhaseBStorage::kLegacyCsr) {
-    phase_b_legacy(pool, ws, chunk, legit, options, report);
-  } else {
-    phase_b_packed(mode, pool, ws, chunk, legit, options, report);
-  }
+  phase_b_packed(mode, pool, ws, chunk, legit, options, report);
   return report;
 }
 
-// The original Phase B: explicit predecessor CSR peeled Kahn-style with
-// pending-successor counts.
-//
-// height(c) = 0 on Lambda, height(c) = 1 + max over successors height(c')
-// elsewhere. Build the *reverse* adjacency (predecessor CSR) of the step
-// graph once, then peel in level-synchronous rounds from the height-0
-// layer: finalizing a config decrements each predecessor's
-// pending-successor count, and a predecessor whose count reaches zero
-// joins the next round. A config's height is exactly the round that
-// finalizes it — its max-height successor (height r-1, by induction
-// finalized in round r-1) is the last one to finalize — so no forward
-// adjacency is ever stored or scanned. Every edge is touched O(1) times.
-// If the frontier drains while configs remain, each remaining config can
-// step to another remaining config forever — an illegitimate cycle is
-// reachable and convergence fails. The height fixpoint is unique, so
-// reports are identical at every thread count.
-template <stab::RingProtocol P>
-void ModelChecker<P>::phase_b_legacy(util::ThreadPool& pool,
-                                     std::vector<Worker>& ws,
-                                     std::uint64_t chunk,
-                                     const util::TwoLevelBitset& legit,
-                                     const CheckOptions& options,
-                                     CheckReport& report) const {
-  const std::uint64_t total = codec_.total();
-  const std::size_t workers = pool.size();
-
-  // Pass 1: out-degrees (pending) and in-degrees (rcount). Successors are
-  // enumerated but not stored — the only per-edge state is a predecessor
-  // count bump. Repeated successor codes (possible only for
-  // state-preserving rules) are kept on both sides, so the Kahn counts
-  // stay consistent and heights are unaffected.
-  // With a single worker the shared counters have exactly one writer, so
-  // the lock-prefixed RMWs (the dominant per-edge cost) degrade to plain
-  // arithmetic. Both flavours are exercised by the differential tests.
-  const bool solo = workers == 1;
-
-  std::vector<std::uint32_t> pending(total, 0);  ///< unfinalized successors
-  std::vector<std::uint32_t> rcount(total, 0);   ///< predecessor counts
-  pool.for_chunks(
-      0, total, chunk, [&](std::size_t w, std::uint64_t lo, std::uint64_t hi) {
-        Worker& wk = ws[w];
-        wk.od.seek(lo);
-        for (std::uint64_t c = lo; c < hi; ++c, wk.od.advance()) {
-          if (legit.test(c)) continue;
-          enabled(wk.od.config(), wk.s.idx, wk.s.rules);
-          if (wk.s.idx.empty()) continue;  // deadlocked: height 0
-          pending[c] =
-              static_cast<std::uint32_t>((std::uint64_t{1} << wk.s.idx.size()) - 1);
-          compute_deltas(wk.od.config(), wk.od.digits(), wk.s);
-          for_each_successor(c, wk.s, [&](std::uint64_t sc) {
-            if (solo) {
-              ++rcount[sc];
-            } else {
-              std::atomic_ref<std::uint32_t>(rcount[sc])
-                  .fetch_add(1, std::memory_order_relaxed);
-            }
-          });
-        }
-      });
-
-  std::vector<std::uint64_t> roffsets(total + 1, 0);
-  for (std::uint64_t c = 0; c < total; ++c) {
-    roffsets[c + 1] = roffsets[c] + rcount[c];
-  }
-
-  // Pass 2: re-enumerate and scatter predecessors into the CSR. rcount
-  // doubles as the per-target fill cursor (counted back down to zero).
-  // Predecessors land in arbitrary order within a slice, which only
-  // affects decrement order, never counts or heights.
-  std::vector<std::uint32_t> redges(roffsets[total]);
-  pool.for_chunks(
-      0, total, chunk, [&](std::size_t w, std::uint64_t lo, std::uint64_t hi) {
-        Worker& wk = ws[w];
-        wk.od.seek(lo);
-        for (std::uint64_t c = lo; c < hi; ++c, wk.od.advance()) {
-          if (pending[c] == 0) continue;
-          enabled(wk.od.config(), wk.s.idx, wk.s.rules);
-          compute_deltas(wk.od.config(), wk.od.digits(), wk.s);
-          for_each_successor(c, wk.s, [&](std::uint64_t sc) {
-            const std::uint32_t slot =
-                solo ? rcount[sc]--
-                     : std::atomic_ref<std::uint32_t>(rcount[sc])
-                           .fetch_sub(1, std::memory_order_relaxed);
-            redges[roffsets[sc] + slot - 1] = static_cast<std::uint32_t>(c);
-          });
-        }
-      });
-
-  std::vector<std::uint32_t> height(total, 0);
-  // pending is 0 for Lambda and for deadlocked illegitimate configs
-  // (height 0; the latter are already reported through deadlock_free).
-  // Those zero-pending configs form the initial, round-0 frontier.
-  std::vector<std::uint32_t> frontier;
-  std::uint64_t finalized = 0;
-  for (std::uint64_t c = 0; c < total; ++c) {
-    if (pending[c] == 0) {
-      frontier.push_back(static_cast<std::uint32_t>(c));
-      ++finalized;
-    }
-  }
-
-  std::uint64_t frontier_peak = frontier.capacity() * sizeof(std::uint32_t);
-  for (std::uint32_t round = 1; !frontier.empty(); ++round) {
-    const std::uint64_t fr_chunk = std::clamp<std::uint64_t>(
-        frontier.size() / (workers * 8), 64, std::uint64_t{1} << 14);
-    pool.for_chunks(0, frontier.size(), fr_chunk, [&](std::size_t w,
-                                                      std::uint64_t lo,
-                                                      std::uint64_t hi) {
-      std::vector<std::uint32_t>& next = ws[w].next;
-      for (std::uint64_t t = lo; t < hi; ++t) {
-        const std::uint32_t f = frontier[t];
-        for (std::uint64_t e = roffsets[f]; e < roffsets[f + 1]; ++e) {
-          const std::uint32_t p = redges[e];
-          const std::uint32_t left =
-              solo ? --pending[p]
-                   : std::atomic_ref<std::uint32_t>(pending[p])
-                             .fetch_sub(1, std::memory_order_relaxed) -
-                         1;
-          if (left != 0) continue;
-          // Last successor of p finalized, in the previous round, at
-          // height round - 1 — so p's height is exactly this round.
-          height[p] = round;
-          next.push_back(p);
-        }
-      }
-    });
-    std::uint64_t live = frontier.capacity() * sizeof(std::uint32_t);
-    frontier.clear();
-    for (Worker& wk : ws) {
-      frontier.insert(frontier.end(), wk.next.begin(), wk.next.end());
-      finalized += wk.next.size();
-      live += wk.next.capacity() * sizeof(std::uint32_t);
-      wk.next.clear();
-    }
-    frontier_peak = std::max(
-        frontier_peak, std::max(live, frontier.capacity() * sizeof(std::uint32_t)));
-  }
-
-  if (finalized != total) {
-    // Frontier drained with configs left: every remaining config keeps an
-    // unfinalized successor, so from any of them the daemon can stay
-    // illegitimate forever.
-    report.convergence_holds = false;
-    std::uint64_t lowest = UINT64_MAX;
-    for (std::uint64_t c = 0; c < total && lowest == UINT64_MAX; ++c) {
-      if (pending[c] != 0) lowest = c;
-    }
-    report.cycle_witness = lowest;
-  }
-
-  if (report.convergence_holds) {
-    pool.for_chunks(0, total, chunk,
-                    [&](std::size_t w, std::uint64_t lo, std::uint64_t hi) {
-                      Partial& p = ws[w].p;
-                      for (std::uint64_t c = lo; c < hi; ++c) {
-                        const std::uint32_t h = height[c];
-                        if (h == 0) continue;
-                        if (h > p.max_height ||
-                            (h == p.max_height && c < p.max_height_at)) {
-                          p.max_height = h;
-                          p.max_height_at = c;
-                        }
-                      }
-                    });
-    std::uint32_t worst = 0;
-    std::uint64_t worst_at = UINT64_MAX;
-    for (const Worker& wk : ws) {
-      if (wk.p.max_height > worst ||
-          (wk.p.max_height == worst && wk.p.max_height_at < worst_at)) {
-        worst = wk.p.max_height;
-        worst_at = wk.p.max_height_at;
-      }
-    }
-    report.worst_case_steps = worst;
-    if (worst > 0) report.worst_case_witness = worst_at;
-  }
-
-  CheckStats& st = report.stats;
-  st.edge_count = roffsets[total];
-  st.counts_bytes =
-      (pending.capacity() + rcount.capacity()) * sizeof(std::uint32_t);
-  st.offsets_bytes = roffsets.capacity() * sizeof(std::uint64_t);
-  st.edges_bytes = redges.capacity() * sizeof(std::uint32_t);
-  st.heights_bytes = height.capacity() * sizeof(std::uint32_t);
-  st.frontier_bytes = frontier_peak;
-  st.bytes_per_edge =
-      st.edge_count == 0
-          ? 0.0
-          : static_cast<double>(st.edges_bytes) /
-                static_cast<double>(st.edge_count);
-  st.rounds = report.convergence_holds
-                  ? static_cast<std::uint32_t>(report.worst_case_steps)
-                  : 0;
-  st.measured_peak_bytes = st.lambda_bytes + st.counts_bytes +
-                           st.offsets_bytes + st.edges_bytes +
-                           st.heights_bytes + st.frontier_bytes;
-
-  if (report.convergence_holds && options.keep_heights) {
-    report.heights = HeightTable::pack(height);
-    st.escape_entries = report.heights.escape_entries();
-  }
-}
-
-// The slim Phase B backends. Both drive the same source-scanning peel:
+// The Phase B backends all drive the same source-scanning peel:
 // instead of materializing predecessor edges, each round r scans the
 // still-active (unfinalized, illegitimate, non-deadlocked) configurations
 // and finalizes those whose successors ALL have height < r. Successor
 // heights written during round r read as >= r, so the set finalized in a
 // round depends only on earlier rounds — the peel computes the unique
 // height fixpoint in any scan order and at any thread count, and a round
-// that finalizes nothing certifies the residue as an illegitimate cycle
-// (same residue, hence same lowest witness, as the legacy Kahn peel).
+// that finalizes nothing certifies the residue as an illegitimate cycle:
+// every remaining configuration keeps an unfinalized successor, so from
+// any of them the daemon can stay illegitimate forever.
 //
 // Per-visit cost is kept at O(1) by a watched-successor probe (the
 // watched-literal trick): each active configuration remembers the code of
@@ -1014,7 +799,7 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
       if (m == 0) return 0;
       SSR_ASSERT(m < 20, "enabled set size out of range");
       active.set(c);
-      height_raw[c] = HeightTable::kEscapeTag;  // unfinalized sentinel
+      height_raw[c] = HeightTable::kUnfinalized;  // unfinalized sentinel
       if (!spill) watch[c] = static_cast<std::uint32_t>(c);  // no watch yet
       ++wk.active0;
       wk.edges += (std::uint64_t{1} << m) - 1;
@@ -1052,7 +837,7 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
       SweepScratch& s = wk.s;
       wk.od.seek(lo);
       for (std::uint64_t c = lo; c < hi; ++c, wk.od.advance()) {
-        if (height_raw[c] != HeightTable::kEscapeTag) continue;
+        if (height_raw[c] != HeightTable::kUnfinalized) continue;
         enabled(wk.od.config(), s.idx, s.rules);
         compute_digit_deltas(wk.od.config(), wk.od.digits(), s);
         std::uint32_t mask = 0;
@@ -1085,7 +870,7 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
           const std::uint64_t bend = std::min(hi, layout->block_end(b));
           wk.od.seek(bbegin);
           for (std::uint64_t c = bbegin; c < bend; ++c, wk.od.advance()) {
-            if (height_raw[c] != HeightTable::kEscapeTag) continue;
+            if (height_raw[c] != HeightTable::kUnfinalized) continue;
             enabled(wk.od.config(), s.idx, s.rules);
             compute_digit_deltas(wk.od.config(), wk.od.digits(), s);
             std::uint32_t mask = 0;
@@ -1110,16 +895,16 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
   std::uint64_t active0 = 0;
   for (const Worker& wk : ws) active0 += wk.active0;
 
-  // The peel. Heights are u16 with kEscapeTag = unfinalized; cross-chunk
+  // The peel. Heights are u16, kUnfinalized until set; cross-chunk
   // reads/writes go through relaxed atomic_refs when parallel (the value
   // read is never order-sensitive: anything written this round is >=
   // round either way).
   std::uint64_t finalized = 0;
   std::uint32_t rounds_run = 0;
   for (std::uint32_t round = 1; finalized < active0; ++round) {
-    SSR_REQUIRE(round < HeightTable::kEscapeTag - 1,
-                "convergence depth exceeds packed u16 heights; rerun with "
-                "PhaseBStorage::kLegacyCsr");
+    SSR_REQUIRE(round < HeightTable::kUnfinalized - 1,
+                "convergence depth exceeds the packed u16 height table "
+                "(65533 rounds)");
     for (Worker& wk : ws) {
       wk.finalized = 0;
       wk.cur_block = UINT64_MAX;  // spill: each round streams afresh
@@ -1300,7 +1085,6 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
 
   if (report.convergence_holds && options.keep_heights) {
     report.heights = HeightTable::adopt(std::move(height_raw));
-    st.escape_entries = report.heights.escape_entries();
   }
 }
 

@@ -15,9 +15,8 @@
 //    during the peel costs two loads.
 //
 //  * HeightTable — the per-configuration worst-case-steps table, packed
-//    as dense u16 with a sparse u32 side table for values that do not fit
-//    (checked escape; heights beyond 65534 need a >64Ki-step chain, which
-//    only the legacy u32 path can produce).
+//    as dense u16 (the peel refuses to run past 65533 rounds, so every
+//    height fits).
 //
 //  * CheckStats + projected-peak formulas — per-structure byte telemetry
 //    and the memory model used to pick a storage mode *before* running:
@@ -29,8 +28,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -294,80 +293,38 @@ class MoveStore {
 // --- packed heights --------------------------------------------------------
 
 /// Per-configuration height (exact worst-case steps to Lambda), packed as
-/// dense u16 plus a sparse ordered side table for values >= 65535. The
-/// report-facing replacement for the seed's 4-byte-per-config vector.
+/// dense u16. The report-facing replacement for the seed's
+/// 4-byte-per-config vector.
 class HeightTable {
  public:
-  static constexpr std::uint16_t kEscapeTag = 0xFFFF;
+  /// The peel's "not finalized yet" sentinel; never a stored height.
+  static constexpr std::uint16_t kUnfinalized = 0xFFFF;
 
   HeightTable() = default;
 
-  /// Packs a legacy u32 table (values >= kEscapeTag go to the side table).
-  static HeightTable pack(const std::vector<std::uint32_t>& heights) {
-    HeightTable t;
-    t.dense_.resize(heights.size());
-    for (std::uint64_t c = 0; c < heights.size(); ++c) {
-      if (heights[c] >= kEscapeTag) {
-        t.dense_[c] = kEscapeTag;
-        t.escape_[c] = heights[c];
-      } else {
-        t.dense_[c] = static_cast<std::uint16_t>(heights[c]);
-      }
-    }
-    return t;
-  }
-
-  /// Adopts a dense u16 table that is already escape-free (the packed
-  /// Phase B peel guarantees heights < kEscapeTag).
+  /// Adopts a dense u16 table from the Phase B peel (heights <
+  /// kUnfinalized).
   static HeightTable adopt(std::vector<std::uint16_t> dense) {
     HeightTable t;
     t.dense_ = std::move(dense);
     return t;
   }
 
-  void assign(std::uint64_t size, std::uint32_t value) {
-    escape_.clear();
-    if (value >= kEscapeTag) {
-      dense_.assign(size, kEscapeTag);
-      for (std::uint64_t c = 0; c < size; ++c) escape_[c] = value;
-    } else {
-      dense_.assign(size, static_cast<std::uint16_t>(value));
-    }
-  }
-
-  void set(std::uint64_t i, std::uint32_t v) {
-    if (v >= kEscapeTag) {
-      dense_[i] = kEscapeTag;
-      escape_[i] = v;
-    } else {
-      dense_[i] = static_cast<std::uint16_t>(v);
-      escape_.erase(i);
-    }
-  }
-
-  std::uint32_t operator[](std::uint64_t i) const {
-    const std::uint16_t v = dense_[i];
-    return v != kEscapeTag ? v : escape_.at(i);
-  }
+  std::uint32_t operator[](std::uint64_t i) const { return dense_[i]; }
 
   std::uint64_t size() const { return dense_.size(); }
   bool empty() const { return dense_.empty(); }
-  std::uint64_t escape_entries() const { return escape_.size(); }
 
   std::uint64_t bytes() const {
-    // Ordered-map nodes cost ~3 pointers + color + key + value each.
-    return dense_.capacity() * sizeof(std::uint16_t) +
-           escape_.size() * (sizeof(void*) * 4 + sizeof(std::uint64_t) +
-                             sizeof(std::uint32_t));
+    return dense_.capacity() * sizeof(std::uint16_t);
   }
 
   friend bool operator==(const HeightTable& a, const HeightTable& b) {
-    return a.dense_ == b.dense_ && a.escape_ == b.escape_;
+    return a.dense_ == b.dense_;
   }
 
  private:
   std::vector<std::uint16_t> dense_;
-  std::map<std::uint64_t, std::uint32_t> escape_;
 };
 
 // --- storage modes, projections, telemetry ---------------------------------
@@ -376,12 +333,11 @@ class HeightTable {
 /// *resident* peak fits the memory budget (compressed first, then
 /// CSR-free, then the disk-spilled stream) and throws a projected-memory
 /// error if none fits.
-enum class PhaseBStorage { kAuto, kLegacyCsr, kCompressed, kCsrFree, kSpill };
+enum class PhaseBStorage { kAuto, kCompressed, kCsrFree, kSpill };
 
 inline const char* to_string(PhaseBStorage m) {
   switch (m) {
     case PhaseBStorage::kAuto: return "auto";
-    case PhaseBStorage::kLegacyCsr: return "legacy-csr";
     case PhaseBStorage::kCompressed: return "compressed";
     case PhaseBStorage::kCsrFree: return "csr-free";
     case PhaseBStorage::kSpill: return "spill";
@@ -406,12 +362,11 @@ struct CheckStats {
   double bytes_per_edge = 0.0;     ///< edge-storage bytes / edge_count
   std::uint32_t rounds = 0;        ///< reverse-induction rounds (max height)
   std::uint64_t lambda_bytes = 0;  ///< Lambda membership bitset
-  std::uint64_t counts_bytes = 0;  ///< pending/rcount (legacy) or watch (new)
-  std::uint64_t offsets_bytes = 0; ///< CSR offsets / two-level record offsets
-  std::uint64_t edges_bytes = 0;   ///< predecessor CSR / record stream
+  std::uint64_t counts_bytes = 0;  ///< u32 watch table
+  std::uint64_t offsets_bytes = 0; ///< two-level record offsets
+  std::uint64_t edges_bytes = 0;   ///< in-RAM record stream
   std::uint64_t heights_bytes = 0; ///< height table
-  std::uint64_t frontier_bytes = 0;///< frontier vectors / active bitset
-  std::uint64_t escape_entries = 0;///< sparse side-table entries taken
+  std::uint64_t frontier_bytes = 0;///< active bitset
   // Disk-tier telemetry (kSpill only; zero elsewhere). spill_bytes is the
   // on-disk record stream; blocks_read counts record blocks streamed back
   // in across all peel rounds; read_amplification is the total bytes
@@ -474,20 +429,6 @@ inline std::uint64_t projected_spill_file_bytes(std::uint64_t total,
                                                 std::size_t n,
                                                 std::uint64_t radix) {
   return total * MoveRecordCodec(n, radix).max_encoded_size();
-}
-
-/// The legacy CSR's peak for a measured edge count (reported for
-/// comparison; edges are unknown before a run, so auto never projects
-/// this mode).
-inline std::uint64_t projected_legacy_bytes(std::uint64_t total,
-                                            std::uint64_t edges) {
-  return projected_bitset_bytes(total) +  // Lambda
-         4 * total +                      // pending
-         4 * total +                      // rcount
-         8 * (total + 1) +                // roffsets
-         4 * edges +                      // redges
-         4 * total +                      // heights (u32)
-         8 * total;                       // frontier vectors, worst case
 }
 
 /// Container memory limit from the cgroup filesystem, or 0 when
@@ -609,11 +550,6 @@ inline PhaseBStorage select_phaseb_storage(
             "budget");
       }
       return pick_spill();
-    case PhaseBStorage::kLegacyCsr:
-      // Edge count is unknown before the run; the legacy baseline is
-      // always honored as requested and its peak reported after the fact.
-      *projected_out = 0;
-      return PhaseBStorage::kLegacyCsr;
   }
   return requested;  // unreachable
 }

@@ -83,6 +83,24 @@ TEST(CstSimulation, RandomizedCachesBreakCoherence) {
   EXPECT_FALSE(sim.coherent());
 }
 
+TEST(CstSimulation, MakeCachesCoherentRejudgesTheHolders) {
+  core::SsrMinRing ring(4, 5);
+  auto sim = make_ssrmin_cst(ring, core::canonical_legitimate(ring, 0),
+                             quiet_net(7));
+  sim.randomize_caches([](Rng& rng) {
+    core::SsrState s;
+    s.x = static_cast<std::uint32_t>(rng.below(5));
+    s.rts = rng.bernoulli(0.5);
+    s.tra = rng.bernoulli(0.5);
+    return s;
+  });
+  sim.make_caches_coherent();
+  EXPECT_TRUE(sim.coherent());
+  // Back at the coherent legitimate start, P0 is the only holder.
+  EXPECT_EQ(sim.holder_count(), 1u);
+  EXPECT_EQ(sim.token_view(), std::vector<bool>({true, false, false, false}));
+}
+
 TEST(CstSimulation, TimeAdvancesAndEventsFire) {
   core::SsrMinRing ring(5, 6);
   auto sim = make_ssrmin_cst(ring, core::canonical_legitimate(ring, 0),

@@ -23,6 +23,7 @@
 #include "graph/topology.hpp"
 #include "msgpass/cst.hpp"
 #include "msgpass/factories.hpp"
+#include "runtime/fault_plan.hpp"
 #include "runtime/telemetry.hpp"
 
 namespace ssr::msgpass {
@@ -317,7 +318,11 @@ TEST(CstParallel, WorkerCountIsClampedToRingSize) {
 namespace ssr::graph {
 namespace {
 
-TEST(CstParallel, GraphMisDifferential) {
+/// Runs TurauMis on a random 20-node graph under @p base at 1, 2 and 8
+/// workers, pins the 2- and 8-worker runs to the one-worker run, and
+/// returns the one-worker stats.
+msgpass::CoverageStats graph_mis_differential(
+    const msgpass::NetworkParams& base) {
   Rng rng(31);
   const Topology g = Topology::random_connected(20, 0.2, rng);
   TurauMis mis(g);
@@ -338,9 +343,7 @@ TEST(CstParallel, GraphMisDifferential) {
   };
   GraphRecord ref;
   for (std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    msgpass::NetworkParams net;
-    net.loss_probability = 0.15;
-    net.seed = 33;
+    msgpass::NetworkParams net = base;
     net.workers = w;
     GraphCstSimulation<TurauMis> sim(mis, initial, active, net);
     EXPECT_EQ(sim.workers(), w);
@@ -357,11 +360,13 @@ TEST(CstParallel, GraphMisDifferential) {
       SCOPED_TRACE("graph workers=" + std::to_string(w));
       EXPECT_EQ(ref.stats.observed_time, rec.stats.observed_time);
       EXPECT_EQ(ref.stats.zero_token_time, rec.stats.zero_token_time);
+      EXPECT_EQ(ref.stats.zero_intervals, rec.stats.zero_intervals);
       EXPECT_EQ(ref.stats.events, rec.stats.events);
       EXPECT_EQ(ref.stats.deliveries, rec.stats.deliveries);
       EXPECT_EQ(ref.stats.transmissions, rec.stats.transmissions);
       EXPECT_EQ(ref.stats.losses, rec.stats.losses);
       EXPECT_EQ(ref.stats.rule_executions, rec.stats.rule_executions);
+      EXPECT_EQ(ref.stats.crash_restarts, rec.stats.crash_restarts);
       EXPECT_EQ(ref.stats.handovers, rec.stats.handovers);
       EXPECT_EQ(ref.stats.min_holders, rec.stats.min_holders);
       EXPECT_EQ(ref.stats.max_holders, rec.stats.max_holders);
@@ -371,6 +376,34 @@ TEST(CstParallel, GraphMisDifferential) {
       EXPECT_EQ(ref.config, rec.config);
     }
   }
+  return ref.stats;
+}
+
+TEST(CstParallel, GraphMisDifferential) {
+  msgpass::NetworkParams net;
+  net.loss_probability = 0.15;
+  net.seed = 33;
+  graph_mis_differential(net);
+}
+
+TEST(CstParallel, GraphMisHonoursDuplication) {
+  msgpass::NetworkParams net;
+  net.loss_probability = 0.05;
+  net.duplicate_probability = 0.2;
+  net.seed = 34;
+  const msgpass::CoverageStats s = graph_mis_differential(net);
+  // A ghost re-delivery is a delivery without a transmission.
+  EXPECT_GT(s.deliveries, s.transmissions);
+}
+
+TEST(CstParallel, GraphMisHonoursCrashWindows) {
+  msgpass::NetworkParams net;
+  net.seed = 35;
+  net.fault_plan = runtime::FaultPlan::parse(
+      "dup=0.03;crash@100ms-140ms:node=3;crash@250ms-300ms:node=7;"
+      "pause@320ms-340ms:node=0");
+  const msgpass::CoverageStats s = graph_mis_differential(net);
+  EXPECT_EQ(s.crash_restarts, 2u);
 }
 
 }  // namespace

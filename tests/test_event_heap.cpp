@@ -39,7 +39,7 @@ class Differential {
     rec.order = make_order(rng_.below(1000), seq_);
     rec.slot = seq_++;
     rec.kind = static_cast<EvKind>(rng_.below(4));
-    rec.dir = static_cast<std::uint8_t>(rng_.below(2));
+    rec.port = static_cast<std::uint16_t>(rng_.below(2));
     rec.flags = static_cast<std::uint8_t>(rng_.below(16));
     heap_.push(rec);
     ref_.push(rec);
@@ -54,7 +54,7 @@ class Differential {
     EXPECT_EQ(got.order, want.order);
     EXPECT_EQ(got.slot, want.slot);
     EXPECT_EQ(got.kind, want.kind);
-    EXPECT_EQ(got.dir, want.dir);
+    EXPECT_EQ(got.port, want.port);
     EXPECT_EQ(got.flags, want.flags);
     heap_.pop();
     ref_.pop();

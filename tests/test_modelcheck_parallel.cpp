@@ -1,17 +1,21 @@
 // The parallel checker's contract: CheckReport is bit-identical at every
 // thread count AND in every Phase B storage mode — same witnesses, same
 // worst case, same height table. The differential tests below pin that by
-// running every covered (n, K) in all four storage backends (legacy CSR,
-// compressed move records, CSR-free, disk-spilled records) at 1, 2 and 8
-// workers (1 exercises the solo fast path, the others the shared atomic
-// counters), plus unit tests for the underlying ThreadPool.
+// running every covered (n, K) in all three storage backends (compressed
+// move records, CSR-free, disk-spilled records) at 1, 2 and 8 workers (1
+// exercises the solo fast path, the others the shared atomic counters),
+// and pin the heights themselves against a test-local fixpoint over the
+// checker's successor relation. Unit tests for the underlying ThreadPool
+// come first.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -104,23 +108,91 @@ void expect_identical(const verify::CheckReport& a,
   EXPECT_EQ(a.heights, b.heights) << what;
 }
 
+/// Phase B's answer computed independently of every storage backend: the
+/// height of a configuration is 0 on Lambda and for deadlocked
+/// configurations, else 1 + the largest successor height, found by a
+/// plain fixpoint over checker.successor_codes(). A configuration the
+/// fixpoint never settles can reach an illegitimate cycle.
+struct ReferenceHeights {
+  bool converges = true;
+  std::vector<std::uint32_t> height;
+  std::uint64_t worst = 0;
+  std::optional<std::uint64_t> worst_at;
+};
+
+template <typename Checker>
+ReferenceHeights reference_heights(const Checker& checker) {
+  constexpr std::uint32_t kOpen = UINT32_MAX;
+  const std::uint64_t total = checker.codec().total();
+  std::vector<std::vector<std::uint64_t>> succs(total);
+  ReferenceHeights ref;
+  ref.height.assign(total, 0);
+  for (std::uint64_t c = 0; c < total; ++c) {
+    const auto config = checker.codec().decode(c);
+    if (checker.legitimate(config)) continue;
+    succs[c] = checker.successor_codes(config);
+    if (!succs[c].empty()) ref.height[c] = kOpen;
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::uint64_t c = 0; c < total; ++c) {
+      if (ref.height[c] != kOpen) continue;
+      std::uint32_t h = 0;
+      bool settled = true;
+      for (const std::uint64_t s : succs[c]) {
+        if (ref.height[s] == kOpen) {
+          settled = false;
+          break;
+        }
+        h = std::max(h, ref.height[s] + 1);
+      }
+      if (settled) {
+        ref.height[c] = h;
+        changed = true;
+      }
+    }
+  }
+  for (std::uint64_t c = 0; c < total; ++c) {
+    if (ref.height[c] == kOpen) ref.converges = false;
+    if (ref.height[c] > ref.worst) {
+      ref.worst = ref.height[c];
+      ref.worst_at = c;
+    }
+  }
+  return ref;
+}
+
+/// Runs @p checker in every storage mode at 1, 2 and 8 workers against a
+/// compressed one-worker baseline, whose heights are first pinned to the
+/// reference fixpoint (skipped for the big spaces, whose successor lists
+/// would not fit in a test's memory).
 template <typename Checker>
 void check_thread_invariance(const Checker& checker,
-                             verify::CheckOptions options, const char* what) {
+                             verify::CheckOptions options, const char* what,
+                             bool against_reference = true) {
   options.keep_heights = true;
   options.threads = 1;
-  options.storage = verify::PhaseBStorage::kLegacyCsr;
+  options.storage = verify::PhaseBStorage::kCompressed;
   const verify::CheckReport baseline = checker.run(options);
   EXPECT_TRUE(baseline.all_ok()) << what;
   EXPECT_FALSE(baseline.heights.empty()) << what;
-  for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kLegacyCsr,
-                                        verify::PhaseBStorage::kCompressed,
+  if (against_reference) {
+    const ReferenceHeights ref = reference_heights(checker);
+    EXPECT_TRUE(ref.converges) << what;
+    EXPECT_EQ(baseline.worst_case_steps, ref.worst) << what;
+    EXPECT_EQ(baseline.worst_case_witness, ref.worst_at) << what;
+    ASSERT_EQ(baseline.heights.size(), ref.height.size()) << what;
+    for (std::uint64_t c = 0; c < ref.height.size(); ++c) {
+      ASSERT_EQ(baseline.heights[c], ref.height[c]) << what << " config " << c;
+    }
+  }
+  for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kCompressed,
                                         verify::PhaseBStorage::kCsrFree,
                                         verify::PhaseBStorage::kSpill}) {
     options.storage = storage;
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      if (storage == verify::PhaseBStorage::kLegacyCsr && threads == 1) {
+      if (storage == verify::PhaseBStorage::kCompressed && threads == 1) {
         continue;  // the baseline itself
       }
       options.threads = threads;
@@ -171,14 +243,14 @@ TEST(ModelCheckParallel, BigSpacesAreModeAndThreadInvariant) {
   }
   verify::CheckOptions ssr_options;
   check_thread_invariance(verify::make_ssrmin_checker(5, 6), ssr_options,
-                          "ssrmin(5,6)");
+                          "ssrmin(5,6)", false);
   verify::CheckOptions dij_options;
   dij_options.min_privileged = 1;
   dij_options.max_privileged = 1;
   check_thread_invariance(verify::make_kstate_checker(6, 7), dij_options,
-                          "dijkstra(6,7)");
+                          "dijkstra(6,7)", false);
   check_thread_invariance(verify::make_kstate_checker(8, 9), dij_options,
-                          "dijkstra(8,9)");
+                          "dijkstra(8,9)", false);
 }
 
 TEST(ModelCheckParallel, AutoSpillsUnderTightBudgetAndMatchesInRam) {
@@ -245,8 +317,7 @@ void check_phase_a_invariance(const Checker& checker,
   EXPECT_TRUE(baseline.all_ok()) << what;
   EXPECT_FALSE(baseline.stats.phase_a_sliced) << what;
   options.phase_a = verify::PhaseAMode::kSliced;
-  for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kLegacyCsr,
-                                        verify::PhaseBStorage::kCompressed,
+  for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kCompressed,
                                         verify::PhaseBStorage::kCsrFree,
                                         verify::PhaseBStorage::kSpill}) {
     options.storage = storage;

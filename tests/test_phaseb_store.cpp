@@ -1,6 +1,6 @@
 // Unit tests for the slim Phase B storage primitives: the varint move
 // record codec (round-trip + fuzz), the two-level MoveStore layout, the
-// packed HeightTable with its sparse escape, the TwoLevelBitset, the
+// packed HeightTable, the TwoLevelBitset, the
 // disk-spilled record store (round-trip fuzz + hardened error paths), the
 // cgroup-aware memory budget, and the projected-memory mode-selection
 // guard that replaced the old hard cap.
@@ -302,28 +302,13 @@ TEST(SpillStore, EnospcMidWriteSurfacesAsRequireError) {
 
 // --- HeightTable -----------------------------------------------------------
 
-TEST(HeightTable, PackRoundTripsWithSparseEscape) {
-  std::vector<std::uint32_t> raw = {0, 1, 65534, 65535, 1u << 20, 7};
-  const HeightTable t = HeightTable::pack(raw);
-  ASSERT_EQ(t.size(), raw.size());
-  for (std::uint64_t i = 0; i < raw.size(); ++i) {
-    EXPECT_EQ(t[i], raw[i]) << "index " << i;
-  }
-  EXPECT_EQ(t.escape_entries(), 2u);  // 65535 and 2^20 escape
-
-  HeightTable u;
-  u.assign(raw.size(), 0);
-  for (std::uint64_t i = 0; i < raw.size(); ++i) u.set(i, raw[i]);
-  EXPECT_TRUE(t == u);
-  u.set(2, 3);
-  EXPECT_FALSE(t == u);
-}
-
-TEST(HeightTable, AdoptedDenseTableHasNoEscapes) {
-  const HeightTable t = HeightTable::adopt({0, 7, 43, 16});
+TEST(HeightTable, AdoptKeepsTheDenseHeights) {
+  const HeightTable t = HeightTable::adopt({0, 7, 43, 65534});
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t[2], 43u);
-  EXPECT_EQ(t.escape_entries(), 0u);
+  EXPECT_EQ(t[3], 65534u);
+  EXPECT_TRUE(t == HeightTable::adopt({0, 7, 43, 65534}));
+  EXPECT_FALSE(t == HeightTable::adopt({0, 7, 42, 65534}));
   EXPECT_FALSE(t.empty());
   EXPECT_TRUE(HeightTable().empty());
 }

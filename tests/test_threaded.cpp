@@ -19,7 +19,6 @@ RuntimeParams fast_params(std::uint64_t seed = 1) {
   p.refresh_interval = 500us;
   p.loss_probability = 0.0;
   p.seed = seed;
-  p.channel_capacity = 64;
   return p;
 }
 
@@ -30,9 +29,6 @@ TEST(RuntimeParams, Validation) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
   p = fast_params();
   p.loss_probability = 1.0;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p = fast_params();
-  p.channel_capacity = 0;
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
