@@ -1,9 +1,10 @@
 // E28 — sharded conservative PDES scale: the CST engine partitions the
 // ring into contiguous worker segments synchronized once per lookahead
-// window (delay_min), so event throughput is bounded by heap work, not
-// by an O(n) holder scan per event. The table sweeps the ring size
-// through 10^4 / 10^5 / 10^6 nodes at one and several workers and
-// reports events/sec and wall time; every statistic column must be
+// window (delay_min), so event throughput is bounded by event-queue and
+// node-state work, not by an O(n) holder scan per event. The table sweeps
+// the ring size through 10^4 / 10^5 / 10^6 nodes at one and several
+// workers and reports events/sec, wall ns per event (how the per-event
+// cost grows with the ring) and wall time; every statistic column must be
 // identical across the worker counts of a given size (the engine's
 // byte-identity contract, pinned by tests/test_cst_parallel.cpp). Each
 // row records the host's hardware thread count (`nproc`), so a row whose
@@ -64,8 +65,9 @@ RunResult run_ssrmin(std::size_t n, double duration, std::size_t workers) {
 void add_row(TextTable& table, std::size_t n, double duration,
              const RunResult& r) {
   const double secs = r.wall_ms / 1000.0;
-  const double eps =
-      secs > 0.0 ? static_cast<double>(r.stats.events) / secs : 0.0;
+  const auto events = static_cast<double>(r.stats.events);
+  const double eps = secs > 0.0 ? events / secs : 0.0;
+  const double ns_per_event = events > 0.0 ? r.wall_ms * 1e6 / events : 0.0;
   table.row()
       .cell(n)
       .cell(r.workers)
@@ -73,6 +75,7 @@ void add_row(TextTable& table, std::size_t n, double duration,
       .cell(duration, 0)
       .cell(r.stats.events)
       .cell(eps, 0)
+      .cell(ns_per_event, 1)
       .cell(r.wall_ms, 1)
       .cell(100.0 * r.stats.coverage(), 2)
       .cell(r.stats.min_holders)
@@ -151,8 +154,8 @@ int main(int argc, char** argv) {
           : std::vector<ScalePoint>{{10'000, 40.0}, {100'000, 8.0}};
 
   TextTable table({"n", "workers", "nproc", "duration", "events",
-                   "events_per_sec", "wall ms", "coverage %", "min holders",
-                   "max holders", "handovers"});
+                   "events_per_sec", "ns_per_event", "wall ms", "coverage %",
+                   "min holders", "max holders", "handovers"});
   for (const ScalePoint& p : points) {
     const RunResult serial = run_ssrmin(p.n, p.duration, 1);
     add_row(table, p.n, p.duration, serial);

@@ -151,18 +151,19 @@ int main(int argc, char** argv) {
     for (std::size_t n : {std::size_t{200}, std::size_t{1000}}) {
       const auto K = static_cast<std::uint32_t>(n + 1);
       const double delay = 1.0;
-      const double duration = 4000.0;
+      const double large_duration = 4000.0;
       {
         dijkstra::KStateRing ring(n, K);
         auto sim = msgpass::make_kstate_cst(ring, dijkstra::KStateConfig(n),
                                             net(7, delay));
-        add_row(table, "dijkstra (Fig.11)", n, delay, sim.run(duration));
+        add_row(table, "dijkstra (Fig.11)", n, delay,
+                sim.run(large_duration));
       }
       {
         core::SsrMinRing ring(n, K);
         auto sim = msgpass::make_ssrmin_cst(
             ring, core::canonical_legitimate(ring, 0), net(7, delay));
-        add_row(table, "ssrmin (Fig.13)", n, delay, sim.run(duration));
+        add_row(table, "ssrmin (Fig.13)", n, delay, sim.run(large_duration));
       }
     }
   }

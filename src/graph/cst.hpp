@@ -50,7 +50,9 @@ class GraphCstSimulation
     SSR_REQUIRE(this->size() == n, "configuration size mismatch");
     off_.assign(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      off_[i + 1] = off_[i] + g.neighbors(i).size();
+      const std::size_t degree = g.degree(i);
+      msgpass::pdes::require_port_range(i, degree);
+      off_[i + 1] = off_[i] + degree;
     }
     nbr_.reserve(off_[n]);
     for (std::size_t i = 0; i < n; ++i) {
@@ -58,19 +60,18 @@ class GraphCstSimulation
         nbr_.push_back(static_cast<std::uint32_t>(j));
       }
     }
+    // Neighbour lists are sorted, so the links into j, met in ascending
+    // sender order, are j's links back in list order: one counting pass
+    // pairs every link with its reverse.
     rev_.assign(off_[n], 0);
+    std::vector<std::uint32_t> back(n, 0);  // j's links paired so far
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t e = off_[i]; e < off_[i + 1]; ++e) {
         const std::size_t j = nbr_[e];
-        bool found = false;
-        for (std::size_t f = off_[j]; f < off_[j + 1]; ++f) {
-          if (nbr_[f] == i) {
-            rev_[e] = static_cast<std::uint32_t>(f);
-            found = true;
-            break;
-          }
-        }
-        SSR_REQUIRE(found, "topology is not symmetric");
+        const std::size_t f = off_[j] + back[j]++;
+        SSR_REQUIRE(f < off_[j + 1] && nbr_[f] == i,
+                    "topology is not symmetric");
+        rev_[e] = static_cast<std::uint32_t>(f);
       }
     }
     this->start(off_[n]);

@@ -210,6 +210,30 @@ TEST(GraphCstSimulation, StopBeforeTheFirstRoundReportsTheCurrentCount) {
   EXPECT_EQ(stats.max_holders, 2u);
 }
 
+TEST(GraphCstSimulation, AHubOfTwoToTheSixteenLinksRunsAndOneMoreIsRejected) {
+  // The hub of star(n) has n - 1 links, and HeapRec::port numbers 2^16.
+  using Sim = graph::GraphCstSimulation<graph::TurauMis>;
+  auto active = [](std::size_t, const graph::MisState& self,
+                   std::span<const graph::MisState>) {
+    return self.status == graph::MisStatus::kIn;
+  };
+  const std::size_t widest = (std::size_t{1} << 16) + 1;
+  try {
+    Sim sim(graph::TurauMis(graph::Topology::star(widest + 1)),
+            graph::MisConfig(widest + 1), active, quiet_net());
+    FAIL() << "a hub of degree 65537 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("node 0 has degree 65537"),
+              std::string::npos)
+        << e.what();
+  }
+  Sim sim(graph::TurauMis(graph::Topology::star(widest)),
+          graph::MisConfig(widest), active, quiet_net());
+  const CoverageStats stats = sim.run(1.0);
+  EXPECT_GT(stats.events, 0u);
+  EXPECT_EQ(sim.now(), 1.0);
+}
+
 TEST(CstSimulation, LossesAreCountedAndRepaired) {
   core::SsrMinRing ring(5, 6);
   NetworkParams p = quiet_net(11);
