@@ -8,34 +8,39 @@
 // bit-identical at every thread count AND in every Phase B storage mode,
 // so the extra rows only measure speed and memory, never answers.
 //
-// Memory columns: `peakMiB` is the checker's analytic Phase B high-water
-// mark (CheckStats::measured_peak_bytes — per-structure maxima summed, an
-// upper bound on what Phase B holds at once). Process peak RSS
-// (getrusage ru_maxrss) is printed once at the end: it is process-wide
-// and monotone across rows, so per-row deltas are not meaningful, but it
-// bounds the whole run from above.
+// Every check runs in its own forked child process, so each row's memory
+// is its own: `peakMiB` is the checker's analytic Phase B high-water mark
+// (CheckStats::measured_peak_bytes — per-structure maxima summed, an
+// upper bound on what Phase B holds at once), and `rss_mib` is the
+// child's peak RSS as wait4() reports it (the bench binary's own few MiB
+// included). A row whose check takes under 10 s is the median wall time
+// of three runs.
 //
 // Besides the usual table/export, the run always writes
-// BENCH_modelcheck.json (rows: protocol, n, K, configs, threads, mode,
-// wall_ms, peak_mib, spill_bytes, rss_mib, backend, lanes) so successive
-// PRs can track the checker's throughput and footprint trajectory.
-// `backend`/`lanes` name the bit-sliced Phase A engine (u64/avx2/avx512 x
-// 64/256/512) — or "scalar"/1 when the odometer sweep ran instead.
-// `spill_bytes` is the on-disk move stream (0 for the in-RAM modes) and
-// `rss_mib` the process high-water RSS when the row finished — monotone
-// across rows, so read it as an upper bound, not a per-row delta.
+// BENCH_modelcheck.json (rows: protocol, n, K, configs, threads, nproc,
+// mode, wall_ms, peak_mib, spill_bytes, rss_mib, backend, lanes) so
+// successive PRs can track the checker's throughput and footprint
+// trajectory. `nproc` is the host's hardware thread count, so a row at
+// more threads than cores reads as such. `backend`/`lanes` name the
+// bit-sliced Phase A engine (u64/avx2/avx512 x 64/256/512) — or
+// "scalar"/1 when the odometer sweep ran instead. `spill_bytes` is the
+// on-disk move stream (0 for the in-RAM modes).
 //
 // `--smoke` runs a minimal pass over every storage mode (for the
 // sanitizer CI job),
 // cross-checks the sliced Phase A against the scalar sweep for report
-// identity, forces a kAuto spill under a tight budget, and prints peak
-// RSS.
+// identity, forces a kAuto spill under a tight budget, and prints each
+// check's peak RSS.
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -51,34 +56,154 @@ namespace {
 
 constexpr double kMiB = 1024.0 * 1024.0;
 
-double peak_rss_mib() {
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  // Linux reports ru_maxrss in KiB.
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+std::size_t nproc() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 std::vector<std::size_t> thread_counts() {
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t hw = nproc();
   if (hw == 1) return {1};
   return {1, hw};
 }
 
+/// What a row's child process hands back: the report fields the tables
+/// print, its summary line, and the check's wall time. rss_mib is the
+/// child's peak RSS, filled in by the parent from wait4().
+struct Row {
+  ssr::verify::CheckReport report;
+  std::string summary;
+  double wall_ms = 0.0;
+  double rss_mib = 0.0;
+};
+
+/// Fixed-size wire image of a Row for the pipe from the child.
+struct RowImage {
+  std::uint64_t total_configs, legitimate_configs, worst_case_steps,
+      min_privileged_anywhere, measured_peak_bytes, spill_bytes;
+  bool deadlock_free, closure_holds, token_bounds_hold, convergence_holds,
+      phase_a_sliced;
+  ssr::verify::PhaseBStorage mode;
+  std::uint32_t phase_a_lanes;
+  double read_amplification, wall_ms;
+  char phase_a_backend[16];
+  char summary[512];
+};
+
+/// Runs one check in a forked child, so the row's peak RSS is its own.
+/// A check that throws ends the bench with its message.
 template <typename Checker>
-ssr::verify::CheckReport run_once(const Checker& checker,
-                                  ssr::verify::CheckOptions options,
-                                  std::size_t threads,
-                                  ssr::verify::PhaseBStorage storage,
-                                  double& wall_ms) {
+Row run_once(const Checker& checker, ssr::verify::CheckOptions options,
+             std::size_t threads, ssr::verify::PhaseBStorage storage) {
   options.threads = threads;
   options.storage = storage;
-  const auto t0 = std::chrono::steady_clock::now();
-  ssr::verify::CheckReport r = checker.run(options);
-  wall_ms = std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-  return r;
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    std::perror("bench_modelcheck: pipe");
+    std::exit(1);
+  }
+  std::cout.flush();
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    std::perror("bench_modelcheck: fork");
+    std::exit(1);
+  }
+  if (pid == 0) {
+    ::close(fds[0]);
+    RowImage img{};
+    try {
+      const auto t0 = std::chrono::steady_clock::now();
+      const ssr::verify::CheckReport r = checker.run(options);
+      img.wall_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+      img.total_configs = r.total_configs;
+      img.legitimate_configs = r.legitimate_configs;
+      img.worst_case_steps = r.worst_case_steps;
+      img.min_privileged_anywhere = r.min_privileged_anywhere;
+      img.measured_peak_bytes = r.stats.measured_peak_bytes;
+      img.spill_bytes = r.stats.spill_bytes;
+      img.deadlock_free = r.deadlock_free;
+      img.closure_holds = r.closure_holds;
+      img.token_bounds_hold = r.token_bounds_hold;
+      img.convergence_holds = r.convergence_holds;
+      img.phase_a_sliced = r.stats.phase_a_sliced;
+      img.mode = r.stats.mode;
+      img.phase_a_lanes = r.stats.phase_a_lanes;
+      img.read_amplification = r.stats.read_amplification;
+      std::snprintf(img.phase_a_backend, sizeof img.phase_a_backend, "%s",
+                    r.stats.phase_a_backend.c_str());
+      std::snprintf(img.summary, sizeof img.summary, "%s",
+                    r.summary().c_str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bench_modelcheck: check failed: %s\n", e.what());
+      ::_exit(1);
+    }
+    const bool sent = ::write(fds[1], &img, sizeof img) ==
+                      static_cast<ssize_t>(sizeof img);
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  RowImage img{};
+  std::size_t got = 0;
+  while (got < sizeof img) {
+    const ssize_t k = ::read(fds[0], reinterpret_cast<char*>(&img) + got,
+                             sizeof img - got);
+    if (k <= 0) break;
+    got += static_cast<std::size_t>(k);
+  }
+  ::close(fds[0]);
+  int status = 0;
+  struct rusage usage {};
+  ::wait4(pid, &status, 0, &usage);
+  if (got != sizeof img || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    std::fprintf(stderr, "bench_modelcheck: a check's child process failed\n");
+    std::exit(1);
+  }
+  Row row;
+  ssr::verify::CheckReport& r = row.report;
+  r.total_configs = img.total_configs;
+  r.legitimate_configs = img.legitimate_configs;
+  r.worst_case_steps = img.worst_case_steps;
+  r.min_privileged_anywhere = img.min_privileged_anywhere;
+  r.deadlock_free = img.deadlock_free;
+  r.closure_holds = img.closure_holds;
+  r.token_bounds_hold = img.token_bounds_hold;
+  r.convergence_holds = img.convergence_holds;
+  r.stats.measured_peak_bytes = img.measured_peak_bytes;
+  r.stats.spill_bytes = img.spill_bytes;
+  r.stats.phase_a_sliced = img.phase_a_sliced;
+  r.stats.mode = img.mode;
+  r.stats.phase_a_lanes = img.phase_a_lanes;
+  r.stats.read_amplification = img.read_amplification;
+  r.stats.phase_a_backend = img.phase_a_backend;
+  row.wall_ms = img.wall_ms;
+  // Linux reports ru_maxrss in KiB.
+  row.rss_mib = static_cast<double>(usage.ru_maxrss) / 1024.0;
+  row.summary = img.summary;
+  return row;
+}
+
+/// A check that finishes within kRepeatBelowMs runs kReps times and its
+/// row reports the median wall time and the largest peak RSS: single runs
+/// of one check swing by 20-50% on a shared host. Longer checks run once.
+constexpr std::size_t kReps = 3;
+constexpr double kRepeatBelowMs = 10000.0;
+
+template <typename Checker>
+Row run_timed(const Checker& checker, const ssr::verify::CheckOptions& options,
+              std::size_t threads, ssr::verify::PhaseBStorage storage) {
+  std::vector<Row> runs{run_once(checker, options, threads, storage)};
+  while (runs.front().wall_ms < kRepeatBelowMs && runs.size() < kReps) {
+    runs.push_back(run_once(checker, options, threads, storage));
+  }
+  double rss_mib = 0.0;
+  for (const Row& r : runs) rss_mib = std::max(rss_mib, r.rss_mib);
+  std::sort(runs.begin(), runs.end(), [](const Row& a, const Row& b) {
+    return a.wall_ms < b.wall_ms;
+  });
+  Row median = runs[runs.size() / 2];
+  median.rss_mib = rss_mib;
+  return median;
 }
 
 std::string phase_a_backend(const ssr::verify::CheckReport& r) {
@@ -90,21 +215,43 @@ unsigned phase_a_lanes(const ssr::verify::CheckReport& r) {
   return r.stats.phase_a_sliced ? r.stats.phase_a_lanes : 1u;
 }
 
-void add_trajectory_row(ssr::TextTable& trajectory, const std::string& name,
-                        std::size_t n, std::uint32_t K,
-                        const ssr::verify::CheckReport& r, std::size_t threads,
-                        double ms) {
+/// One row in both tables.
+void add_row(ssr::TextTable& table, ssr::TextTable& trajectory,
+             const std::string& name, std::size_t n, std::uint32_t K,
+             const Row& row, std::size_t threads) {
+  const ssr::verify::CheckReport& r = row.report;
+  const double peak_mib =
+      static_cast<double>(r.stats.measured_peak_bytes) / kMiB;
+  table.row()
+      .cell(name)
+      .cell(n)
+      .cell(K)
+      .cell(r.total_configs)
+      .cell(r.legitimate_configs)
+      .cell(threads)
+      .cell(ssr::verify::to_string(r.stats.mode))
+      .cell(phase_a_backend(r))
+      .cell(r.deadlock_free)
+      .cell(r.closure_holds)
+      .cell(r.token_bounds_hold)
+      .cell(r.convergence_holds)
+      .cell(r.worst_case_steps)
+      .cell(r.min_privileged_anywhere)
+      .cell(peak_mib, 1)
+      .cell(row.rss_mib, 1)
+      .cell(row.wall_ms, 0);
   trajectory.row()
       .cell(name)
       .cell(n)
       .cell(K)
       .cell(r.total_configs)
       .cell(threads)
+      .cell(nproc())
       .cell(ssr::verify::to_string(r.stats.mode))
-      .cell(ms, 1)
-      .cell(static_cast<double>(r.stats.measured_peak_bytes) / kMiB, 2)
+      .cell(row.wall_ms, 1)
+      .cell(peak_mib, 2)
       .cell(r.stats.spill_bytes)
-      .cell(peak_rss_mib(), 1)
+      .cell(row.rss_mib, 1)
       .cell(phase_a_backend(r))
       .cell(phase_a_lanes(r));
 }
@@ -118,36 +265,17 @@ void run_row(ssr::TextTable& table, ssr::TextTable& trajectory,
              std::vector<std::size_t> threads_list = {}) {
   if (threads_list.empty()) threads_list = thread_counts();
   for (std::size_t threads : threads_list) {
-    double ms = 0.0;
-    const ssr::verify::CheckReport r =
-        run_once(checker, options, threads, storage, ms);
-    const double peak_mib =
-        static_cast<double>(r.stats.measured_peak_bytes) / kMiB;
-    table.row()
-        .cell(name)
-        .cell(n)
-        .cell(K)
-        .cell(r.total_configs)
-        .cell(r.legitimate_configs)
-        .cell(threads)
-        .cell(ssr::verify::to_string(r.stats.mode))
-        .cell(phase_a_backend(r))
-        .cell(r.deadlock_free)
-        .cell(r.closure_holds)
-        .cell(r.token_bounds_hold)
-        .cell(r.convergence_holds)
-        .cell(r.worst_case_steps)
-        .cell(r.min_privileged_anywhere)
-        .cell(peak_mib, 1)
-        .cell(ms, 0);
-    add_trajectory_row(trajectory, name, n, K, r, threads, ms);
+    add_row(table, trajectory, name, n, K,
+            run_timed(checker, options, threads, storage), threads);
   }
 }
 
-/// The same space in every storage mode: the compressed Phase B holds the
-/// move records in RAM, csr-free re-derives them, and the spill tier keeps
-/// the least resident by streaming them through disk. Runs the space at
-/// the given thread counts and prints the peaks and the wall-time ratio.
+/// The same space in every storage mode: the watch lists rescan only the
+/// configurations whose watched successor finalized, csr-free scans every
+/// active one behind a smaller watch table, and the spill tier keeps the
+/// least resident by streaming move records through disk. Runs the space
+/// at the given thread counts and prints the peaks and the wall-time
+/// ratio.
 template <typename Checker>
 void run_mode_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
                          const std::string& name, std::size_t n,
@@ -156,55 +284,32 @@ void run_mode_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
                          const std::vector<std::size_t>& threads_list) {
   using ssr::verify::PhaseBStorage;
   for (std::size_t threads : threads_list) {
-    double compressed_ms = 0.0, csrfree_ms = 0.0, spill_ms = 0.0;
-    const auto compressed = run_once(checker, options, threads,
-                                     PhaseBStorage::kCompressed,
-                                     compressed_ms);
-    const auto csrfree = run_once(checker, options, threads,
-                                  PhaseBStorage::kCsrFree, csrfree_ms);
-    const auto spill = run_once(checker, options, threads,
-                                PhaseBStorage::kSpill, spill_ms);
-    for (const auto* pair : {&compressed, &csrfree, &spill}) {
-      const ssr::verify::CheckReport& r = *pair;
-      const double ms = (pair == &compressed) ? compressed_ms
-                        : (pair == &csrfree)  ? csrfree_ms
-                                              : spill_ms;
-      const double peak_mib =
-          static_cast<double>(r.stats.measured_peak_bytes) / kMiB;
-      table.row()
-          .cell(name)
-          .cell(n)
-          .cell(K)
-          .cell(r.total_configs)
-          .cell(r.legitimate_configs)
-          .cell(threads)
-          .cell(ssr::verify::to_string(r.stats.mode))
-          .cell(phase_a_backend(r))
-          .cell(r.deadlock_free)
-          .cell(r.closure_holds)
-          .cell(r.token_bounds_hold)
-          .cell(r.convergence_holds)
-          .cell(r.worst_case_steps)
-          .cell(r.min_privileged_anywhere)
-          .cell(peak_mib, 1)
-          .cell(ms, 0);
-      add_trajectory_row(trajectory, name, n, K, r, threads, ms);
+    const Row lists =
+        run_timed(checker, options, threads, PhaseBStorage::kWatchLists);
+    const Row csrfree =
+        run_timed(checker, options, threads, PhaseBStorage::kCsrFree);
+    const Row spill =
+        run_timed(checker, options, threads, PhaseBStorage::kSpill);
+    for (const Row* row : {&lists, &csrfree, &spill}) {
+      add_row(table, trajectory, name, n, K, *row, threads);
     }
     char line[320];
     std::snprintf(line, sizeof(line),
-                  "mode comparison %s(%zu,%u) threads=%zu: compressed peak "
-                  "= %.1f MiB, wall csr-free/compressed = %.2fx, csr-free "
+                  "mode comparison %s(%zu,%u) threads=%zu: watch-lists peak "
+                  "= %.1f MiB, wall csr-free/watch-lists = %.2fx, csr-free "
                   "peak = %.1f MiB, spill peak = %.1f MiB (+%.1f MiB on "
                   "disk, read-amp %.2fx)\n",
                   name.c_str(), n, K, threads,
-                  static_cast<double>(compressed.stats.measured_peak_bytes) /
+                  static_cast<double>(lists.report.stats.measured_peak_bytes) /
                       kMiB,
-                  csrfree_ms / compressed_ms,
-                  static_cast<double>(csrfree.stats.measured_peak_bytes) /
+                  csrfree.wall_ms / lists.wall_ms,
+                  static_cast<double>(
+                      csrfree.report.stats.measured_peak_bytes) /
                       kMiB,
-                  static_cast<double>(spill.stats.measured_peak_bytes) / kMiB,
-                  static_cast<double>(spill.stats.spill_bytes) / kMiB,
-                  spill.stats.read_amplification);
+                  static_cast<double>(spill.report.stats.measured_peak_bytes) /
+                      kMiB,
+                  static_cast<double>(spill.report.stats.spill_bytes) / kMiB,
+                  spill.report.stats.read_amplification);
     std::cout << line;
   }
 }
@@ -219,45 +324,25 @@ void run_phase_a_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
                             ssr::verify::CheckOptions options,
                             std::size_t threads) {
   using ssr::verify::PhaseAMode;
-  double scalar_ms = 0.0, sliced_ms = 0.0;
   auto scalar_options = options;
   scalar_options.phase_a = PhaseAMode::kScalar;
   auto sliced_options = options;
   sliced_options.phase_a = PhaseAMode::kSliced;
-  const auto scalar = run_once(checker, scalar_options, threads,
-                               ssr::verify::PhaseBStorage::kAuto, scalar_ms);
-  const auto sliced = run_once(checker, sliced_options, threads,
-                               ssr::verify::PhaseBStorage::kAuto, sliced_ms);
-  for (const auto* r : {&scalar, &sliced}) {
-    const double ms = (r == &scalar) ? scalar_ms : sliced_ms;
-    const double peak_mib =
-        static_cast<double>(r->stats.measured_peak_bytes) / kMiB;
-    table.row()
-        .cell(name)
-        .cell(n)
-        .cell(K)
-        .cell(r->total_configs)
-        .cell(r->legitimate_configs)
-        .cell(threads)
-        .cell(ssr::verify::to_string(r->stats.mode))
-        .cell(phase_a_backend(*r))
-        .cell(r->deadlock_free)
-        .cell(r->closure_holds)
-        .cell(r->token_bounds_hold)
-        .cell(r->convergence_holds)
-        .cell(r->worst_case_steps)
-        .cell(r->min_privileged_anywhere)
-        .cell(peak_mib, 1)
-        .cell(ms, 0);
-    add_trajectory_row(trajectory, name, n, K, *r, threads, ms);
+  const Row scalar = run_timed(checker, scalar_options, threads,
+                               ssr::verify::PhaseBStorage::kAuto);
+  const Row sliced = run_timed(checker, sliced_options, threads,
+                               ssr::verify::PhaseBStorage::kAuto);
+  for (const Row* row : {&scalar, &sliced}) {
+    add_row(table, trajectory, name, n, K, *row, threads);
   }
-  const bool identical = scalar.summary() == sliced.summary();
+  const bool identical = scalar.summary == sliced.summary;
   char line[256];
   std::snprintf(line, sizeof(line),
                 "phase A comparison %s(%zu,%u) threads=%zu: wall "
                 "scalar/sliced(%s) = %.1fx, reports %s\n",
                 name.c_str(), n, K, threads,
-                sliced.stats.phase_a_backend.c_str(), scalar_ms / sliced_ms,
+                sliced.report.stats.phase_a_backend.c_str(),
+                scalar.wall_ms / sliced.wall_ms,
                 identical ? "identical" : "DIVERGED");
   std::cout << line;
 }
@@ -271,38 +356,38 @@ int run_smoke() {
   dij_options.max_privileged = 1;
   int failures = 0;
   for (verify::PhaseBStorage storage :
-       {verify::PhaseBStorage::kCompressed, verify::PhaseBStorage::kCsrFree,
+       {verify::PhaseBStorage::kWatchLists, verify::PhaseBStorage::kCsrFree,
         verify::PhaseBStorage::kSpill}) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      double ms = 0.0;
-      const auto ssrmin = run_once(verify::make_ssrmin_checker(3, 4),
-                                   ssr_options, threads, storage, ms);
-      const auto dijkstra = run_once(verify::make_kstate_checker(3, 4),
-                                     dij_options, threads, storage, ms);
+      const Row ssrmin = run_once(verify::make_ssrmin_checker(3, 4),
+                                  ssr_options, threads, storage);
+      const Row dijkstra = run_once(verify::make_kstate_checker(3, 4),
+                                    dij_options, threads, storage);
       // The same spaces again with the scalar odometer sweep: every field
       // of both reports must come out bit-identical to the sliced runs.
       auto scalar_ssr = ssr_options;
       scalar_ssr.phase_a = verify::PhaseAMode::kScalar;
       auto scalar_dij = dij_options;
       scalar_dij.phase_a = verify::PhaseAMode::kScalar;
-      const auto ssrmin_scalar = run_once(verify::make_ssrmin_checker(3, 4),
-                                          scalar_ssr, threads, storage, ms);
-      const auto dijkstra_scalar = run_once(verify::make_kstate_checker(3, 4),
-                                            scalar_dij, threads, storage, ms);
-      bool ok = ssrmin.all_ok() && ssrmin.worst_case_steps == 16 &&
-                dijkstra.all_ok() &&
-                ssrmin.summary() == ssrmin_scalar.summary() &&
-                dijkstra.summary() == dijkstra_scalar.summary();
+      const Row ssrmin_scalar = run_once(verify::make_ssrmin_checker(3, 4),
+                                         scalar_ssr, threads, storage);
+      const Row dijkstra_scalar = run_once(verify::make_kstate_checker(3, 4),
+                                           scalar_dij, threads, storage);
+      bool ok = ssrmin.report.all_ok() &&
+                ssrmin.report.worst_case_steps == 16 &&
+                dijkstra.report.all_ok() &&
+                ssrmin.summary == ssrmin_scalar.summary &&
+                dijkstra.summary == dijkstra_scalar.summary;
       if (storage == verify::PhaseBStorage::kSpill &&
-          (ssrmin.stats.spill_bytes == 0 ||
-           ssrmin.stats.mode != verify::PhaseBStorage::kSpill)) {
+          (ssrmin.report.stats.spill_bytes == 0 ||
+           ssrmin.report.stats.mode != verify::PhaseBStorage::kSpill)) {
         ok = false;
       }
       if (!ok) ++failures;
       std::cout << "  storage=" << verify::to_string(storage)
-                << " threads=" << threads << " phase_a="
-                << (ssrmin.stats.phase_a_sliced ? ssrmin.stats.phase_a_backend
-                                                : "scalar")
+                << " threads=" << threads
+                << " phase_a=" << phase_a_backend(ssrmin.report)
+                << " rss=" << ssrmin.rss_mib << "MiB"
                 << " vs scalar: " << (ok ? "ok" : "FAILED") << '\n';
     }
   }
@@ -312,29 +397,27 @@ int run_smoke() {
   {
     const auto checker = verify::make_ssrmin_checker(4, 5);
     const std::uint64_t total = checker.codec().total();
+    const std::uint64_t radix = checker.codec().radix();
     auto options = ssr_options;
     options.memory_budget_bytes =
-        (verify::projected_spill_resident_bytes(total, 4,
-                                                checker.codec().radix()) +
-         verify::projected_csrfree_bytes(total)) /
+        (verify::projected_spill_resident_bytes(total, 4, radix) +
+         verify::projected_csrfree_bytes(total, 4, radix)) /
         2;
-    double ms = 0.0;
-    const auto forced = run_once(checker, options, 2,
-                                 verify::PhaseBStorage::kAuto, ms);
-    double baseline_ms = 0.0;
-    const auto baseline = run_once(checker, ssr_options, 2,
-                                   verify::PhaseBStorage::kCompressed,
-                                   baseline_ms);
-    const bool ok = forced.stats.mode == verify::PhaseBStorage::kSpill &&
-                    forced.stats.spill_bytes > 0 &&
-                    forced.summary() == baseline.summary();
+    const Row forced =
+        run_once(checker, options, 2, verify::PhaseBStorage::kAuto);
+    const Row baseline = run_once(checker, ssr_options, 2,
+                                  verify::PhaseBStorage::kWatchLists);
+    const bool ok =
+        forced.report.stats.mode == verify::PhaseBStorage::kSpill &&
+        forced.report.stats.spill_bytes > 0 &&
+        forced.summary == baseline.summary;
     if (!ok) ++failures;
     std::cout << "  auto-under-tight-budget: mode="
-              << verify::to_string(forced.stats.mode)
-              << " spill_bytes=" << forced.stats.spill_bytes
-              << " vs compressed: " << (ok ? "ok" : "FAILED") << '\n';
+              << verify::to_string(forced.report.stats.mode)
+              << " spill_bytes=" << forced.report.stats.spill_bytes
+              << " rss=" << forced.rss_mib << "MiB"
+              << " vs watch-lists: " << (ok ? "ok" : "FAILED") << '\n';
   }
-  std::cout << "peak-RSS: " << peak_rss_mib() << " MiB\n";
   return failures == 0 ? 0 : 1;
 }
 
@@ -354,10 +437,10 @@ int main(int argc, char** argv) {
   TextTable table({"protocol", "n", "K", "configs", "legit", "threads",
                    "mode", "phaseA", "no-deadlock", "closure", "tokens[1,2]",
                    "convergence", "worst steps", "min priv anywhere",
-                   "peakMiB", "ms"});
-  TextTable trajectory({"protocol", "n", "K", "configs", "threads", "mode",
-                        "wall_ms", "peak_mib", "spill_bytes", "rss_mib",
-                        "backend", "lanes"});
+                   "peakMiB", "rssMiB", "ms"});
+  TextTable trajectory({"protocol", "n", "K", "configs", "threads", "nproc",
+                        "mode", "wall_ms", "peak_mib", "spill_bytes",
+                        "rss_mib", "backend", "lanes"});
 
   verify::CheckOptions ssr_options;  // defaults: privileged in [1,2]
   run_row(table, trajectory, "ssrmin", 3, 4, verify::make_ssrmin_checker(3, 4),
@@ -370,9 +453,15 @@ int main(int argc, char** argv) {
           ssr_options);
   // 331k configurations: full-mode-only before the sharded sweep, now a
   // default row — run scalar-vs-sliced so the Phase A speedup and the
-  // report identity are pinned in the output.
+  // report identity are pinned in the output, then the sliced check at
+  // every hardware thread.
   run_phase_a_comparison(table, trajectory, "ssrmin", 4, 6,
                          verify::make_ssrmin_checker(4, 6), ssr_options, 1);
+  if (nproc() > 1) {
+    run_row(table, trajectory, "ssrmin", 4, 6,
+            verify::make_ssrmin_checker(4, 6), ssr_options,
+            verify::PhaseBStorage::kAuto, {nproc()});
+  }
   // The same 331k-config space forced out of core: Phase B streams its
   // move records through a temp file, so the default run always carries
   // at least one mode=spill row (pinned by tools/check_bench_json.py).
@@ -404,6 +493,11 @@ int main(int argc, char** argv) {
   // the scalar-vs-sliced Phase A pin for the Dijkstra kernel.
   run_phase_a_comparison(table, trajectory, "dijkstra", 7, 8,
                          verify::make_kstate_checker(7, 8), dij_options, 1);
+  if (nproc() > 1) {
+    run_row(table, trajectory, "dijkstra", 7, 8,
+            verify::make_kstate_checker(7, 8), dij_options,
+            verify::PhaseBStorage::kAuto, {nproc()});
+  }
   run_row(table, trajectory, "dijkstra", 6, 7,
           verify::make_kstate_checker(6, 7), dij_options,
           verify::PhaseBStorage::kSpill, {1});
@@ -421,11 +515,11 @@ int main(int argc, char** argv) {
   }
 
   // The out-of-core headline: ssrmin(6,7) = 28^6 ≈ 482M configurations
-  // under a 2.5 GiB budget that no in-RAM mode fits (compressed projects
-  // ≈ 6.9 GiB, csr-free ≈ 3.0 GiB), so kAuto must take the spill tier —
-  // ≈ 2.8 GiB of move records stream through the temp file while ≈ 2 GiB
+  // under a 2.5 GiB budget that no in-RAM mode fits (watch lists project
+  // ≈ 4.7 GiB, csr-free ≈ 2.9 GiB), so kAuto must take the spill tier —
+  // ≈ 2.5 GiB of move records stream through the temp file while ≈ 2 GiB
   // stay resident. Gated on its own env knob besides full mode because
-  // the run takes the better part of an hour single-core.
+  // the run takes about 20 minutes single-core.
   if (bench::full_mode() ||
       std::getenv("SSRING_BENCH_SPILL_BIG") != nullptr) {
     verify::CheckOptions spill_options = ssr_options;
@@ -442,8 +536,6 @@ int main(int argc, char** argv) {
     json << trajectory.to_json(2) << '\n';
   }
   std::cout << "(wrote BENCH_modelcheck.json)\n";
-  std::cout << "peak-RSS: " << peak_rss_mib() << " MiB (process high-water "
-               "mark across every row above)\n";
   std::cout << "paper expectation: every boolean column 'yes'; legit = 3nK "
                "(SSRmin, Def. 1) / nK (Dijkstra); worst steps grow ~ n^2 "
                "(Theorem 2; Dijkstra bound 3n(n-1)/2 per [1]).\n";

@@ -8,14 +8,16 @@
 // rounds (a near-empty active set over hundreds of millions of
 // configurations) cheap.
 //
-// Concurrency contract: there are no atomics here. Writers must partition
-// the index space so that no two threads touch the same level-0 word —
-// the checker guarantees this by aligning its work chunks to kBlockBits
-// (4096) indices, which also keeps each summary word single-writer.
-// Reads of foreign blocks are only valid after a barrier.
+// Concurrency contract: writers partition the index space so that no two
+// threads touch the same level-0 word — the checker guarantees this by
+// aligning its work chunks to kBlockBits (4096) indices, which also keeps
+// each summary word single-writer. The one exception is set_atomic(), for
+// passes whose writers cannot partition (the watch-list peel's wake
+// bits). Reads of foreign blocks are only valid after a barrier.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -51,7 +53,20 @@ class TwoLevelBitset {
 
   void set(std::uint64_t i) {
     words_[i >> 6] |= std::uint64_t{1} << (i & 63);
-    summary_[i >> 12] |= std::uint64_t{1} << ((i >> 6) & 63);
+    mark_summary(i);
+  }
+
+  /// set() for an index whose words other threads may set concurrently in
+  /// the same pass: both levels are OR-ed atomically. As with set(), the
+  /// bits may be read only after a barrier.
+  void set_atomic(std::uint64_t i) {
+    std::atomic_ref<std::uint64_t>(words_[i >> 6])
+        .fetch_or(std::uint64_t{1} << (i & 63), std::memory_order_relaxed);
+    std::atomic_ref<std::uint64_t> summary(summary_[i >> 12]);
+    const std::uint64_t bit = std::uint64_t{1} << ((i >> 6) & 63);
+    if ((summary.load(std::memory_order_relaxed) & bit) == 0) {
+      summary.fetch_or(bit, std::memory_order_relaxed);
+    }
   }
 
   /// ORs 64 bits into the level-0 word covering the 64-aligned index
@@ -61,7 +76,7 @@ class TwoLevelBitset {
   void set_word(std::uint64_t base, std::uint64_t bits) {
     if (bits == 0) return;
     words_[base >> 6] |= bits;
-    summary_[base >> 12] |= std::uint64_t{1} << ((base >> 6) & 63);
+    mark_summary(base);
   }
 
   /// Reads the level-0 word covering the 64-aligned index `base` (bit l of
@@ -142,6 +157,14 @@ class TwoLevelBitset {
   }
 
  private:
+  /// Sets index i's summary bit, storing only if it is clear: eight
+  /// summary words share a cache line, so workers filling neighbouring
+  /// 4096-index blocks would otherwise write one line back and forth.
+  void mark_summary(std::uint64_t i) {
+    const std::uint64_t bit = std::uint64_t{1} << ((i >> 6) & 63);
+    if ((summary_[i >> 12] & bit) == 0) summary_[i >> 12] |= bit;
+  }
+
   std::uint64_t size_ = 0;
   std::vector<std::uint64_t> words_;
   std::vector<std::uint64_t> summary_;

@@ -41,10 +41,12 @@ std::string CheckStats::summary() const {
      << " measured_peak=" << mib(measured_peak_bytes)
      << " budget=" << mib(memory_budget_bytes) << " edges=" << edge_count
      << " bytes_per_edge=" << bytes_per_edge << " rounds=" << rounds
-     << "\n  lambda=" << mib(lambda_bytes) << " counts=" << mib(counts_bytes)
-     << " offsets=" << mib(offsets_bytes) << " edges=" << mib(edges_bytes)
-     << " heights=" << mib(heights_bytes)
-     << " frontier=" << mib(frontier_bytes);
+     << " rescans=" << rescans << " probes=" << probes
+     << "\n  lambda=" << mib(lambda_bytes) << " frontier=" << mib(frontier_bytes)
+     << " fin=" << mib(fin_bytes) << " wake=" << mib(wake_bytes)
+     << " lists=" << mib(list_bytes) << " watch=" << mib(watch_bytes)
+     << " offsets=" << mib(offsets_bytes) << " heights=" << mib(heights_bytes)
+     << " move_table=" << mib(move_table_bytes);
   if (mode == PhaseBStorage::kSpill) {
     os << "\n  spill=" << mib(spill_bytes) << " blocks_read=" << blocks_read
        << " read_amplification=" << read_amplification << "x path="

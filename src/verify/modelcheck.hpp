@@ -51,27 +51,29 @@
 //
 //     Three storage backends implement the induction (CheckOptions::
 //     storage, default kAuto picks from a projected-peak-bytes estimate
-//     against the memory budget — see phaseb_store.hpp):
+//     against the memory budget — see phaseb_store.hpp). All three share
+//     two pieces: the probe (a successor blocks iff its bit is set in the
+//     round-start active bitset) and the moves (one per-process
+//     MoveTable, move_table.hpp, built once per run):
 //
-//       kCompressed  — one delta-compressed move record per *source*
-//                      configuration (varint enabled-set mask + packed
-//                      digit deltas; the whole daemon fan-out is implied
-//                      by subset sums), decoded streaming each round.
-//                      A watched-subset probe makes the per-round cost of
-//                      a still-blocked configuration O(record).
-//       kCsrFree     — zero edge storage: successors are re-derived from
-//                      the odometer on every visit. Cheapest memory,
-//                      most recompute.
-//       kSpill       — the compressed records written to an unlinked
-//                      temp file (double-buffered background writes) and
-//                      streamed back per peel round through an mmap with
-//                      MADV_WILLNEED prefetch running a window ahead of
-//                      the consumers. Watch-free, so its *resident*
-//                      footprint (bitsets + offsets + heights) undercuts
-//                      even kCsrFree — the out-of-core tier for spaces
-//                      no in-RAM mode fits.
+//       kWatchLists  — event-driven: each unfinalized configuration sits
+//                      on the watch list of one unfinalized successor
+//                      (u32 head/next arrays), and round r rescans only
+//                      the watchers of the configurations round r-1
+//                      finalized. No edge storage.
+//       kCsrFree     — scans every active configuration each round behind
+//                      a u32 watched-successor probe. Less resident than
+//                      kWatchLists, more visits.
+//       kSpill       — delta-compressed move records written to an
+//                      unlinked temp file (double-buffered background
+//                      writes) and streamed back per peel round through
+//                      an mmap with MADV_WILLNEED prefetch running a
+//                      window ahead of the consumers. Watch-free, so its
+//                      *resident* footprint (bitsets + offsets + heights)
+//                      undercuts even kCsrFree — the out-of-core tier for
+//                      spaces no in-RAM mode fits.
 //
-//     Per-structure peak bytes, edge counts and round counts are reported
+//     Per-structure peak bytes, edge, rescan and round counts are reported
 //     in CheckReport::stats.
 #pragma once
 
@@ -88,6 +90,7 @@
 #include "util/assert.hpp"
 #include "util/packed_bitset.hpp"
 #include "util/thread_pool.hpp"
+#include "verify/move_table.hpp"
 #include "verify/phase_a_sliced.hpp"
 #include "verify/phaseb_store.hpp"
 #include "verify/spill_store.hpp"
@@ -348,7 +351,8 @@ class ModelChecker {
   /// All distinct successor configurations of @p config under the
   /// distributed daemon (one per non-empty subset of the enabled
   /// processes; deduplicated, sorted ascending). Empty iff the
-  /// configuration is deadlocked.
+  /// configuration is deadlocked. Derived through State objects, not the
+  /// MoveTable, so tests can hold the table against it.
   std::vector<std::uint64_t> successor_codes(const Config& config) const {
     SweepScratch s;
     enabled(config, s.idx, s.rules);
@@ -361,14 +365,35 @@ class ModelChecker {
     return std::move(s.succs);
   }
 
+  /// This protocol's per-process move table over the codec's digits;
+  /// run() builds one for its convergence pass.
+  MoveTable move_table() const {
+    const std::size_t n = codec_.ring_size();
+    std::vector<State> states;
+    states.reserve(static_cast<std::size_t>(codec_.radix()));
+    for (std::uint32_t d = 0; d < codec_.radix(); ++d) {
+      states.push_back(codec_.decode_digit(d));
+    }
+    std::vector<std::uint64_t> weights(n);
+    for (std::size_t i = 0; i < n; ++i) weights[i] = codec_.weight(i);
+    return MoveTable(n, codec_.radix(), std::move(weights),
+                     [&](std::size_t i, std::uint32_t pred, std::uint32_t self,
+                         std::uint32_t succ) -> std::uint32_t {
+                       const int rule = protocol_.enabled_rule(
+                           i, states[self], states[pred], states[succ]);
+                       if (rule == stab::kDisabled) return MoveTable::kDisabled;
+                       return codec_.encode_digit(protocol_.apply(
+                           i, rule, states[self], states[pred], states[succ]));
+                     });
+  }
+
  private:
-  /// Per-worker reusable buffers for the sweep (no per-configuration
-  /// allocation once warm).
+  /// Per-worker reusable buffers for the Phase A sweep (no
+  /// per-configuration allocation once warm).
   struct SweepScratch {
     std::vector<std::size_t> idx;       ///< enabled process indices
     std::vector<int> rules;             ///< their enabled rules
     std::vector<std::int64_t> deltas;   ///< per enabled process: code delta
-    std::vector<std::int32_t> digit_deltas;  ///< per enabled process: digit delta
     std::vector<std::int64_t> sums;     ///< subset-sum table (size 2^m)
     std::vector<std::uint64_t> succs;   ///< deduped successor codes
   };
@@ -386,13 +411,17 @@ class ModelChecker {
     std::uint64_t max_height_at = UINT64_MAX;
   };
 
-  struct Worker {
+  /// Cache-line aligned, so workers updating their own slots never write
+  /// a line another worker's slot shares.
+  struct alignas(64) Worker {
     ConfigOdometer<State> od;
     SweepScratch s;
     Partial p;
     std::uint64_t edges = 0;          ///< daemon step edges seen
     std::uint64_t active0 = 0;        ///< initially active configs
     std::uint64_t finalized = 0;      ///< configs finalized this round
+    std::uint64_t rescans = 0;        ///< configs whose moves were scanned
+    std::uint64_t probes = 0;         ///< successors probed
     std::uint64_t cur_block = UINT64_MAX;  ///< spill peel: last block seen
     std::uint64_t blocks_read = 0;    ///< spill peel: block transitions
     std::uint64_t bytes_read = 0;     ///< spill peel: bytes streamed
@@ -416,15 +445,15 @@ class ModelChecker {
     }
   }
 
-  /// Computes the per-enabled-process configuration-code deltas into
-  /// s.deltas. Composite atomicity: every selected process reads the
-  /// pre-step configuration, so the post-state of each enabled process is
-  /// the same in every subset — it is applied once and each subset's
-  /// successor code is a pure integer sum of per-process code deltas (no
-  /// re-encoding per subset).
-  void compute_deltas(const Config& config,
-                      const std::vector<std::uint32_t>& digits,
-                      SweepScratch& s) const {
+  /// Distinct successor codes (sorted ascending) into s.succs, for the
+  /// configuration with code @p code and per-process digits @p digits,
+  /// whose enabled set (s.idx / s.rules) was already computed. Composite
+  /// atomicity: every selected process reads the pre-step configuration,
+  /// so each subset's successor code is a pure integer sum of per-process
+  /// code deltas.
+  void successors_at(const Config& config,
+                     const std::vector<std::uint32_t>& digits,
+                     std::uint64_t code, SweepScratch& s) const {
     const std::size_t n = config.size();
     const std::size_t m = s.idx.size();
     SSR_ASSERT(m > 0 && m < 20, "enabled set size out of range");
@@ -439,65 +468,19 @@ class ModelChecker {
           static_cast<std::int64_t>(digits[i]);
       s.deltas.push_back(delta * static_cast<std::int64_t>(codec_.weight(i)));
     }
-  }
-
-  /// Raw per-enabled-process *digit* deltas into s.digit_deltas (what the
-  /// compressed move record stores; multiply by the positional weight to
-  /// recover the code delta). A delta may be 0 for a state-preserving
-  /// rule — such positions stay in the record so the compressed peel
-  /// enumerates the same 2^m - 1 daemon subsets as the other backends.
-  void compute_digit_deltas(const Config& config,
-                            const std::vector<std::uint32_t>& digits,
-                            SweepScratch& s) const {
-    const std::size_t n = config.size();
-    const std::size_t m = s.idx.size();
-    s.digit_deltas.clear();
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::size_t i = s.idx[k];
-      const State next = protocol_.apply(i, s.rules[k], config[i],
-                                         config[stab::pred_index(i, n)],
-                                         config[stab::succ_index(i, n)]);
-      s.digit_deltas.push_back(
-          static_cast<std::int32_t>(codec_.encode_digit(next)) -
-          static_cast<std::int32_t>(digits[i]));
-    }
-  }
-
-  /// Invokes fn(successor_code) for each of the 2^m - 1 daemon choices
-  /// (subset-sum enumeration over s.deltas; may repeat codes). Requires a
-  /// prior compute_deltas on the same configuration.
-  template <typename Fn>
-  void for_each_successor(std::uint64_t code, SweepScratch& s, Fn&& fn) const {
-    const std::size_t m = s.deltas.size();
-    const std::uint32_t subsets = 1u << m;
-    if (s.sums.size() < subsets) s.sums.resize(subsets);
-    s.sums[0] = 0;
-    for (std::uint32_t mask = 1; mask < subsets; ++mask) {
-      s.sums[mask] = s.sums[mask & (mask - 1)] +
-                     s.deltas[static_cast<std::size_t>(std::countr_zero(mask))];
-      fn(static_cast<std::uint64_t>(static_cast<std::int64_t>(code) +
-                                    s.sums[mask]));
-    }
-  }
-
-  /// Distinct successor codes (sorted ascending) into s.succs, for the
-  /// configuration with code @p code and per-process digits @p digits,
-  /// whose enabled set (s.idx / s.rules) was already computed.
-  void successors_at(const Config& config,
-                     const std::vector<std::uint32_t>& digits,
-                     std::uint64_t code, SweepScratch& s) const {
-    compute_deltas(config, digits, s);
     s.succs.clear();
-    for_each_successor(code, s,
-                       [&](std::uint64_t sc) { s.succs.push_back(sc); });
+    find_successor(code, s.deltas.data(), m, s.sums, [&](std::uint64_t sc) {
+      s.succs.push_back(sc);
+      return false;
+    });
     std::sort(s.succs.begin(), s.succs.end());
     s.succs.erase(std::unique(s.succs.begin(), s.succs.end()), s.succs.end());
   }
 
-  void phase_b_packed(PhaseBStorage mode, util::ThreadPool& pool,
-                      std::vector<Worker>& ws, std::uint64_t chunk,
-                      const util::TwoLevelBitset& legit,
-                      const CheckOptions& options, CheckReport& report) const;
+  void phase_b(PhaseBStorage mode, util::ThreadPool& pool,
+               std::vector<Worker>& ws, std::uint64_t chunk,
+               const util::TwoLevelBitset& legit, const CheckOptions& options,
+               CheckReport& report) const;
 
   P protocol_;
   ConfigCodec<State> codec_;
@@ -704,109 +687,124 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
   const PhaseBStorage mode =
       select_phaseb_storage(options.storage, total, codec_.ring_size(),
                             codec_.radix(), budget, &projected);
-  // The in-RAM peels index successors through u32 watch/edge entries; the
-  // watch-free spill peel has no u32-indexed structure, so only the
-  // resident-projection check (above) bounds it.
+  // The in-RAM peels index configurations as u32 list, watch and sentinel
+  // entries (UINT32_MAX is the empty list, so it must never be a real
+  // configuration); the spill peel has no u32-indexed structure, so only
+  // the resident-projection check (above) bounds it.
   SSR_REQUIRE(mode == PhaseBStorage::kSpill ||
-                  total <= (std::uint64_t{1} << 32),
-              "convergence pass supports at most 2^32 configurations in "
+                  total < (std::uint64_t{1} << 32),
+              "convergence pass supports fewer than 2^32 configurations in "
               "the in-RAM storage modes; use PhaseBStorage::kSpill");
   report.stats.mode = mode;
   report.stats.memory_budget_bytes = budget;
   report.stats.projected_peak_bytes = projected;
 
-  phase_b_packed(mode, pool, ws, chunk, legit, options, report);
+  phase_b(mode, pool, ws, chunk, legit, options, report);
   return report;
 }
 
-// The Phase B backends all drive the same source-scanning peel:
-// instead of materializing predecessor edges, each round r scans the
-// still-active (unfinalized, illegitimate, non-deadlocked) configurations
-// and finalizes those whose successors ALL have height < r. Successor
-// heights written during round r read as >= r, so the set finalized in a
-// round depends only on earlier rounds — the peel computes the unique
-// height fixpoint in any scan order and at any thread count, and a round
-// that finalizes nothing certifies the residue as an illegitimate cycle:
-// every remaining configuration keeps an unfinalized successor, so from
-// any of them the daemon can stay illegitimate forever.
+// The peel. Round r finalizes exactly the active (unfinalized,
+// illegitimate, non-deadlocked) configurations whose successors ALL
+// finalized in rounds < r, so the finalizing round is the height (1 + max
+// successor height). A successor blocks iff its bit is set in the
+// round-start `active` bitset: the round's finalizations collect in `fin`
+// and are applied only after the pool barrier, so the set a round
+// finalizes depends on earlier rounds alone — the peel computes the unique
+// height fixpoint in any visit order and at any thread count. A round that
+// finalizes nothing certifies the residue as an illegitimate cycle: every
+// remaining configuration keeps an unfinalized successor, so from any of
+// them the daemon can stay illegitimate forever.
 //
-// Per-visit cost is kept at O(1) by a watched-successor probe (the
-// watched-literal trick): each active configuration remembers the code of
-// one successor that was still unfinalized last time; while that single
-// successor stays unfinalized — the common case — the visit is one height
-// load, with no record decode or guard sweep at all. Only when the watch
-// clears does the full 2^m - 1 subset-sum enumeration run (early-exiting
-// at a new watch). watch[c] == c means "no watch, full-scan" — a real
-// self-successor (a zero-delta daemon subset) never finalizes anyway, so
-// re-scanning it each round is both sound and cheap (the scan early-exits
-// at that subset).
+// A visit decodes the configuration's moves, enumerates its 2^m - 1
+// successors in subset-mask order and stops at the first blocked one,
+// which it watches. The modes differ in which configurations a round
+// visits:
 //
-// kCompressed derives the per-process code deltas from the configuration's
-// move record; kCsrFree re-derives them from the odometer + protocol rules
-// (zero edge bytes, one guard sweep per visit).
+//   kWatchLists — only those whose watched successor finalized in the
+//     previous round (all active ones in round 1). Each configuration sits
+//     on the list of the successor it watches: head[w] -> next[c] -> ...
+//     After the barrier, every configuration the round finalized hands
+//     its list to the `wake` bitset, which the next round walks in
+//     ascending order. A configuration is on one live list at a time, and
+//     a finalized configuration's list is walked once and dropped, so
+//     `next` is reused without unlinking. A visit re-watches the first
+//     blocked successor in the same subset order as every earlier round,
+//     so a configuration is rescanned exactly when its watch finalizes,
+//     and finalizes in the first round in which nothing blocks it.
+//   kCsrFree — every active configuration; a u32 watch per configuration
+//     makes the visit of one whose watch is still active a single probe
+//     (watch[c] == c: no watch yet, or a self-loop, which never finalizes).
+//   kSpill — every active configuration, decoding its move record from
+//     the streamed file; no per-configuration watch is kept resident.
+//
+// kWatchLists and kCsrFree take moves from the MoveTable; kSpill from
+// records the table encoded before round 1.
 template <stab::RingProtocol P>
-void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
-                                     util::ThreadPool& pool,
-                                     std::vector<Worker>& ws,
-                                     std::uint64_t chunk,
-                                     const util::TwoLevelBitset& legit,
-                                     const CheckOptions& options,
-                                     CheckReport& report) const {
+void ModelChecker<P>::phase_b(PhaseBStorage mode, util::ThreadPool& pool,
+                              std::vector<Worker>& ws, std::uint64_t chunk,
+                              const util::TwoLevelBitset& legit,
+                              const CheckOptions& options,
+                              CheckReport& report) const {
+  constexpr std::uint32_t kNoWatcher = UINT32_MAX;
   const std::uint64_t total = codec_.total();
   const std::size_t n = codec_.ring_size();
   const bool solo = pool.size() == 1;
-  const bool compressed = mode == PhaseBStorage::kCompressed;
+  const bool lists = mode == PhaseBStorage::kWatchLists;
+  const bool csr_free = mode == PhaseBStorage::kCsrFree;
   const bool spill = mode == PhaseBStorage::kSpill;
-  const bool has_records = compressed || spill;
 
-  util::TwoLevelBitset active(total);
+  const MoveTable table = move_table();
+  util::TwoLevelBitset active(total);  // unfinalized at round start
+  util::TwoLevelBitset fin(total);     // finalized this round
   std::vector<std::uint16_t> height_raw(total, 0);
-  // The spill peel is watch-free: dropping the 4-bytes-per-config watch
-  // table is exactly what puts its resident footprint under csr-free's.
-  std::vector<std::uint32_t> watch(spill ? 0 : total, 0);
+  // kWatchLists: the watch lists and the next round's rescans.
+  std::vector<std::uint32_t> head(lists ? total : 0, kNoWatcher);
+  std::vector<std::uint32_t> next(lists ? total : 0);
+  util::TwoLevelBitset wake(lists ? total : 0);
+  // kCsrFree: each configuration's watched successor.
+  std::vector<std::uint32_t> watch(csr_free ? total : 0);
 
   MoveRecordCodec rcodec;
-  MoveStore store;
   SpillMoveStore spill_store;
   MoveLayout* layout = nullptr;
-  if (has_records) {
+  if (spill) {
     rcodec = MoveRecordCodec(n, codec_.radix());
-    if (compressed) {
-      store.prepare(total, rcodec);
-      layout = &store.layout();
-    } else {
-      spill_store.prepare(
-          total, rcodec, resolve_spill_dir(options.spill_dir),
-          projected_spill_file_bytes(total, n, codec_.radix()));
-      layout = &spill_store.layout();
-    }
+    spill_store.prepare(total, rcodec, resolve_spill_dir(options.spill_dir),
+                        projected_spill_file_bytes(total, n, codec_.radix()));
+    layout = &spill_store.layout();
   }
 
-  // Init pass: mark active configurations, tally the daemon edge count,
-  // and (record modes) lay out the record stream — per-config local
-  // offsets plus per-block byte totals, both functions of the index alone.
+  // Init pass: mark active configurations (and wake them all for round
+  // 1), tally the daemon edge count, and (spill) lay out the record
+  // stream — per-config local offsets plus per-block byte totals, both
+  // functions of the index alone.
   pool.for_chunks(0, total, chunk, [&](std::size_t w, std::uint64_t lo,
                                        std::uint64_t hi) {
     Worker& wk = ws[w];
-    SweepScratch& s = wk.s;
-    wk.od.seek(lo);
-    auto visit = [&](std::uint64_t c) -> std::size_t {
-      // Returns the enabled count m (0 = inactive: legitimate or
-      // deadlocked, both height 0).
+    std::uint32_t digits[MoveTable::kMaxProcesses];
+    std::int64_t deltas[MoveTable::kMaxProcesses];
+    table.decode(lo, digits);
+    std::uint64_t active_here = 0, edges = 0;
+    // Returns the enabled mask (0 = inactive: legitimate or deadlocked,
+    // both height 0).
+    auto visit = [&](std::uint64_t c) -> std::uint32_t {
       if (legit.test(c)) return 0;
-      enabled(wk.od.config(), s.idx, s.rules);
-      const std::size_t m = s.idx.size();
-      if (m == 0) return 0;
+      const std::uint32_t mask = table.moves(digits, deltas);
+      if (mask == 0) return 0;
+      const int m = std::popcount(mask);
       SSR_ASSERT(m < 20, "enabled set size out of range");
       active.set(c);
-      height_raw[c] = HeightTable::kUnfinalized;  // unfinalized sentinel
-      if (!spill) watch[c] = static_cast<std::uint32_t>(c);  // no watch yet
-      ++wk.active0;
-      wk.edges += (std::uint64_t{1} << m) - 1;
-      return m;
+      if (lists) wake.set(c);
+      if (csr_free) watch[c] = static_cast<std::uint32_t>(c);
+      height_raw[c] = HeightTable::kUnfinalized;
+      ++active_here;
+      edges += (std::uint64_t{1} << m) - 1;
+      return mask;
     };
-    if (!has_records) {
-      for (std::uint64_t c = lo; c < hi; ++c, wk.od.advance()) visit(c);
+    if (!spill) {
+      for (std::uint64_t c = lo; c < hi; ++c, table.advance(digits)) visit(c);
+      wk.active0 += active_here;
+      wk.edges += edges;
       return;
     }
     // Chunks are kBlockBits-aligned and the layout's block size divides
@@ -816,36 +814,20 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
       std::uint16_t running = 0;
       const std::uint64_t bend = std::min(hi, layout->block_end(b));
       for (std::uint64_t c = layout->block_begin(b); c < bend;
-           ++c, wk.od.advance()) {
+           ++c, table.advance(digits)) {
         layout->set_local_offset(c, running);
-        if (visit(c) == 0) continue;
-        std::uint32_t mask = 0;
-        for (std::size_t i : s.idx) mask |= std::uint32_t{1} << i;
-        running += static_cast<std::uint16_t>(rcodec.encoded_size(mask));
+        const std::uint32_t mask = visit(c);
+        if (mask != 0) {
+          running += static_cast<std::uint16_t>(rcodec.encoded_size(mask));
+        }
       }
       layout->set_block_bytes(b, running);
     }
+    wk.active0 += active_here;
+    wk.edges += edges;
   });
 
-  if (compressed) {
-    store.finalize_layout();
-    // Encode pass: re-enumerate the active configurations and write each
-    // record into its precomputed slot.
-    pool.for_chunks(0, total, chunk, [&](std::size_t w, std::uint64_t lo,
-                                         std::uint64_t hi) {
-      Worker& wk = ws[w];
-      SweepScratch& s = wk.s;
-      wk.od.seek(lo);
-      for (std::uint64_t c = lo; c < hi; ++c, wk.od.advance()) {
-        if (height_raw[c] != HeightTable::kUnfinalized) continue;
-        enabled(wk.od.config(), s.idx, s.rules);
-        compute_digit_deltas(wk.od.config(), wk.od.digits(), s);
-        std::uint32_t mask = 0;
-        for (std::size_t i : s.idx) mask |= std::uint32_t{1} << i;
-        rcodec.encode(mask, s.digit_deltas.data(), store.slot(c));
-      }
-    });
-  } else if (spill) {
+  if (spill) {
     spill_store.finalize_layout();
     // Encode pass, out-of-core: each worker encodes one record block at a
     // time into its double buffer and hands it to the background flusher;
@@ -859,8 +841,8 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
     try {
       pool.for_chunks(0, total, chunk, [&](std::size_t w, std::uint64_t lo,
                                            std::uint64_t hi) {
-        Worker& wk = ws[w];
-        SweepScratch& s = wk.s;
+        std::uint32_t digits[MoveTable::kMaxProcesses];
+        std::int32_t digit_deltas[MoveTable::kMaxProcesses];
         for (std::uint64_t b = lo >> layout->block_shift();
              layout->block_begin(b) < hi; ++b) {
           const std::uint64_t bbytes = layout->block_bytes(b);
@@ -868,15 +850,17 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
           std::uint8_t* base = writers[w].begin_block(bbytes);
           const std::uint64_t bbegin = layout->block_begin(b);
           const std::uint64_t bend = std::min(hi, layout->block_end(b));
-          wk.od.seek(bbegin);
-          for (std::uint64_t c = bbegin; c < bend; ++c, wk.od.advance()) {
+          table.decode(bbegin, digits);
+          for (std::uint64_t c = bbegin; c < bend;
+               ++c, table.advance(digits)) {
             if (height_raw[c] != HeightTable::kUnfinalized) continue;
-            enabled(wk.od.config(), s.idx, s.rules);
-            compute_digit_deltas(wk.od.config(), wk.od.digits(), s);
-            std::uint32_t mask = 0;
-            for (std::size_t i : s.idx) mask |= std::uint32_t{1} << i;
-            rcodec.encode(mask, s.digit_deltas.data(),
-                          base + layout->local_offset(c));
+            std::size_t k = 0;
+            const std::uint32_t mask = table.for_each_move(
+                digits, [&](std::size_t, std::uint32_t self, std::uint32_t to) {
+                  digit_deltas[k++] = static_cast<std::int32_t>(to) -
+                                      static_cast<std::int32_t>(self);
+                });
+            rcodec.encode(mask, digit_deltas, base + layout->local_offset(c));
           }
           writers[w].end_block(layout->block_base(b), bbytes);
         }
@@ -895,10 +879,6 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
   std::uint64_t active0 = 0;
   for (const Worker& wk : ws) active0 += wk.active0;
 
-  // The peel. Heights are u16, kUnfinalized until set; cross-chunk
-  // reads/writes go through relaxed atomic_refs when parallel (the value
-  // read is never order-sensitive: anything written this round is >=
-  // round either way).
   std::uint64_t finalized = 0;
   std::uint32_t rounds_run = 0;
   for (std::uint32_t round = 1; finalized < active0; ++round) {
@@ -913,102 +893,108 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
     pool.for_chunks(0, total, chunk, [&](std::size_t w, std::uint64_t lo,
                                          std::uint64_t hi) {
       Worker& wk = ws[w];
-      SweepScratch& s = wk.s;
-      if (s.digit_deltas.size() < n) s.digit_deltas.resize(n);
-      auto h_at = [&](std::uint64_t i) -> std::uint32_t {
-        return solo ? height_raw[i]
-                    : std::atomic_ref<std::uint16_t>(height_raw[i])
-                          .load(std::memory_order_relaxed);
-      };
-      active.for_each_set(lo, hi, [&](std::uint64_t c) {
-        if (!spill) {
-          // Watched-successor probe: if the remembered successor is still
-          // unfinalized (or finalized only this round), c cannot finalize
-          // this round — one height load, nothing decoded.
+      // The visited configuration's digits, its moves' code deltas and
+      // (spill) its record's digit deltas.
+      std::uint32_t digits[MoveTable::kMaxProcesses];
+      std::int64_t deltas[MoveTable::kMaxProcesses];
+      std::int32_t digit_deltas[MoveTable::kMaxProcesses];
+      std::uint64_t rescans = 0, probes = 0, finalized_here = 0;
+      auto visit = [&](std::uint64_t c) {
+        if (csr_free) {
           const std::uint32_t w0 = watch[c];
-          if (w0 != static_cast<std::uint32_t>(c) && h_at(w0) >= round) {
-            return;
-          }
+          if (w0 != static_cast<std::uint32_t>(c) && active.test(w0)) return;
         }
-        // Per-process code deltas of c's enabled moves into s.deltas.
-        s.deltas.clear();
-        if (has_records) {
-          const std::uint8_t* rec;
-          if (spill) {
-            // Exact streaming telemetry: chunks are aligned to whole
-            // record blocks, so each block is visited by one worker and
-            // a per-worker last-block edge counts it exactly once per
-            // round. The progress cursor feeds the prefetch window.
-            const std::uint64_t b = c >> layout->block_shift();
-            if (b != wk.cur_block) {
-              wk.cur_block = b;
-              ++wk.blocks_read;
-              wk.bytes_read += layout->block_bytes(b);
-              spill_store.note_progress(layout->block_base(b) +
-                                        layout->block_bytes(b));
-            }
-            rec = spill_store.record_at(c);
-          } else {
-            rec = store.record_at(c);
+        ++rescans;
+        // Per-process code deltas of c's enabled moves into deltas.
+        std::uint32_t mask = 0;
+        if (spill) {
+          // Exact streaming telemetry: chunks are aligned to whole record
+          // blocks, so each block is visited by one worker and a
+          // per-worker last-block edge counts it exactly once per round.
+          // The progress cursor feeds the prefetch window.
+          const std::uint64_t b = c >> layout->block_shift();
+          if (b != wk.cur_block) {
+            wk.cur_block = b;
+            ++wk.blocks_read;
+            wk.bytes_read += layout->block_bytes(b);
+            spill_store.note_progress(layout->block_base(b) +
+                                      layout->block_bytes(b));
           }
-          std::uint32_t mask = 0;
-          rcodec.decode(rec, mask, s.digit_deltas.data());
+          rcodec.decode(spill_store.record_at(c), mask, digit_deltas);
           std::size_t k = 0;
           for (std::uint32_t bits = mask; bits != 0; bits &= bits - 1, ++k) {
-            const auto i =
-                static_cast<std::size_t>(std::countr_zero(bits));
-            s.deltas.push_back(
-                static_cast<std::int64_t>(s.digit_deltas[k]) *
-                static_cast<std::int64_t>(codec_.weight(i)));
+            const auto i = static_cast<std::size_t>(std::countr_zero(bits));
+            deltas[k] = static_cast<std::int64_t>(digit_deltas[k]) *
+                        static_cast<std::int64_t>(codec_.weight(i));
           }
         } else {
-          wk.od.seek(c);
-          enabled(wk.od.config(), s.idx, s.rules);
-          compute_deltas(wk.od.config(), wk.od.digits(), s);
+          table.decode(c, digits);
+          mask = table.moves(digits, deltas);
         }
-        const std::size_t m = s.deltas.size();
-        // Full scan with early exit; the first still-blocked successor
-        // becomes the new watch.
-        const std::uint32_t subsets = std::uint32_t{1} << m;
-        if (s.sums.size() < subsets) s.sums.resize(subsets);
-        s.sums[0] = 0;
-        bool blocked = false;
-        for (std::uint32_t mask = 1; mask < subsets; ++mask) {
-          s.sums[mask] =
-              s.sums[mask & (mask - 1)] +
-              s.deltas[static_cast<std::size_t>(std::countr_zero(mask))];
-          const auto sc = static_cast<std::uint64_t>(
-              static_cast<std::int64_t>(c) + s.sums[mask]);
-          if (h_at(sc) >= round) {
-            blocked = true;
-            // sc == c (a zero-delta subset) re-arms the "no watch"
-            // sentinel; such a self-loop blocks every round anyway. The
-            // spill peel keeps no watch table — every active config
-            // re-decodes its record each round (the stream read is what
-            // the prefetch window hides).
-            if (!spill) watch[c] = static_cast<std::uint32_t>(sc);
-            break;
+        // The first successor still active at round start blocks c.
+        std::uint64_t blocker = UINT64_MAX;
+        probes += find_successor(
+            c, deltas, static_cast<std::size_t>(std::popcount(mask)),
+            wk.s.sums, [&](std::uint64_t sc) {
+              if (!active.test(sc)) return false;
+              blocker = sc;
+              return true;
+            });
+        if (blocker != UINT64_MAX) {
+          const auto c32 = static_cast<std::uint32_t>(c);
+          if (csr_free) {
+            watch[c] = static_cast<std::uint32_t>(blocker);
+          } else if (lists && solo) {
+            next[c] = head[blocker];
+            head[blocker] = c32;
+          } else if (lists) {
+            next[c] = std::atomic_ref<std::uint32_t>(head[blocker])
+                          .exchange(c32, std::memory_order_relaxed);
           }
+          return;
         }
-        if (blocked) return;
         // Every successor finalized in an earlier round; the deepest one
         // at round - 1, so c's height is exactly this round.
-        if (solo) {
-          height_raw[c] = static_cast<std::uint16_t>(round);
-        } else {
-          std::atomic_ref<std::uint16_t>(height_raw[c])
-              .store(static_cast<std::uint16_t>(round),
-                     std::memory_order_relaxed);
-        }
-        active.clear(c);
-        ++wk.finalized;
-      });
+        height_raw[c] = static_cast<std::uint16_t>(round);
+        fin.set(c);
+        ++finalized_here;
+      };
+      if (lists) {
+        wake.for_each_set(lo, hi, [&](std::uint64_t c) {
+          wake.clear(c);
+          visit(c);
+        });
+      } else {
+        active.for_each_set(lo, hi, visit);
+      }
+      wk.rescans += rescans;
+      wk.probes += probes;
+      wk.finalized += finalized_here;
     });
     std::uint64_t round_final = 0;
     for (const Worker& wk : ws) round_final += wk.finalized;
     if (round_final == 0) break;  // stalled: residue is an illegit cycle
     finalized += round_final;
     rounds_run = round;
+    // After the barrier: apply the round's finalizations to the probe
+    // set, and wake each finalized configuration's watchers for the next
+    // round. Watchers live in any chunk, so parallel wake-bit sets are
+    // atomic; nothing reads them before the next barrier.
+    pool.for_chunks(0, total, chunk, [&](std::size_t, std::uint64_t lo,
+                                         std::uint64_t hi) {
+      fin.for_each_set(lo, hi, [&](std::uint64_t c) {
+        fin.clear(c);
+        active.clear(c);
+        if (!lists) return;
+        for (std::uint32_t x = head[c]; x != kNoWatcher; x = next[x]) {
+          if (solo) {
+            wake.set(x);
+          } else {
+            wake.set_atomic(x);
+          }
+        }
+      });
+    });
   }
 
   if (finalized != active0) {
@@ -1049,15 +1035,20 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
   std::uint64_t bytes_read = 0;
   for (const Worker& wk : ws) {
     edges += wk.edges;
+    st.rescans += wk.rescans;
+    st.probes += wk.probes;
     blocks_read += wk.blocks_read;
     bytes_read += wk.bytes_read;
   }
   st.edge_count = edges;
-  st.counts_bytes = watch.capacity() * sizeof(std::uint32_t);
-  st.offsets_bytes = has_records ? layout->offset_bytes() : 0;
-  st.edges_bytes = compressed ? store.stream_bytes() : 0;
-  st.heights_bytes = height_raw.capacity() * sizeof(std::uint16_t);
   st.frontier_bytes = active.bytes();
+  st.fin_bytes = fin.bytes();
+  st.wake_bytes = wake.bytes();
+  st.list_bytes = (head.capacity() + next.capacity()) * sizeof(std::uint32_t);
+  st.watch_bytes = watch.capacity() * sizeof(std::uint32_t);
+  st.offsets_bytes = spill ? layout->offset_bytes() : 0;
+  st.heights_bytes = height_raw.capacity() * sizeof(std::uint16_t);
+  st.move_table_bytes = table.bytes();
   if (spill) {
     st.spill_bytes = spill_store.stream_bytes();
     st.spill_path = spill_store.path();
@@ -1067,20 +1058,20 @@ void ModelChecker<P>::phase_b_packed(PhaseBStorage mode,
                             : static_cast<double>(bytes_read) /
                                   static_cast<double>(st.spill_bytes);
   }
-  const std::uint64_t record_bytes = compressed ? st.edges_bytes
-                                                : st.spill_bytes;
-  st.bytes_per_edge =
-      (has_records && edges != 0)
-          ? static_cast<double>(record_bytes) / static_cast<double>(edges)
-          : 0.0;
+  // Only the spill mode stores edges (as move records, on disk).
+  st.bytes_per_edge = (spill && edges != 0)
+                          ? static_cast<double>(st.spill_bytes) /
+                                static_cast<double>(edges)
+                          : 0.0;
   st.rounds = report.convergence_holds
                   ? static_cast<std::uint32_t>(report.worst_case_steps)
                   : rounds_run;
   // measured_peak_bytes is the *resident* high-water mark; the spilled
   // stream is disk, not RAM, so it is reported via spill_bytes instead.
-  st.measured_peak_bytes = st.lambda_bytes + st.counts_bytes +
-                           st.offsets_bytes + st.edges_bytes +
-                           st.heights_bytes + st.frontier_bytes;
+  st.measured_peak_bytes = st.lambda_bytes + st.frontier_bytes +
+                           st.fin_bytes + st.wake_bytes + st.list_bytes +
+                           st.watch_bytes + st.offsets_bytes +
+                           st.heights_bytes + st.move_table_bytes;
   if (spill) spill_store.release();
 
   if (report.convergence_holds && options.keep_heights) {

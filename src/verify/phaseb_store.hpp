@@ -1,18 +1,15 @@
-// Memory-slim storage backing the model checker's Phase B (convergence by
-// reverse induction). Three cooperating pieces:
+// Storage pieces behind the model checker's Phase B (convergence by
+// reverse induction):
 //
-//  * MoveRecordCodec / MoveStore — the delta-compressed edge store. A
-//    successor differs from its base configuration only at the processes
-//    that moved, so the *entire* daemon fan-out of a configuration (all
-//    2^m - 1 subset choices) is recoverable from one per-source record:
-//    a varint mask of the positions whose digit changes, plus each
-//    changed position's signed digit delta packed in
-//    bit_width(2*(radix-1)) bits. Storage is O(moved digits) per source
-//    instead of O(4 bytes) per *edge* — for spaces where the mean enabled
-//    count is m, that is a ~2^m / record_bytes compression of the seed's
-//    predecessor CSR. Records are addressed by a two-level offset table
-//    (u64 base per block, u16 offset within the block), so random access
-//    during the peel costs two loads.
+//  * MoveRecordCodec / MoveLayout — the delta-compressed move records of
+//    the spill tier (spill_store.hpp). A successor differs from its base
+//    configuration only at the processes that moved, so the *entire*
+//    daemon fan-out of a configuration (all 2^m - 1 subset choices) is
+//    recoverable from one per-source record: a varint mask of the enabled
+//    positions plus each one's signed digit delta packed in
+//    bit_width(2*(radix-1)) bits. Records are addressed by a two-level
+//    offset table (u64 base per block, u16 offset within the block), so
+//    random access costs two loads.
 //
 //  * HeightTable — the per-configuration worst-case-steps table, packed
 //    as dense u16 (the peel refuses to run past 65533 rounds, so every
@@ -37,6 +34,7 @@
 #endif
 
 #include "util/assert.hpp"
+#include "verify/move_table.hpp"
 
 namespace ssr::verify {
 
@@ -148,11 +146,11 @@ class MoveRecordCodec {
   std::uint32_t delta_bits_ = 0;
 };
 
-/// Block shift shared by MoveStore and the peak projection: at most 12
+/// Block shift of the record layout and its projections: at most 12
 /// (4096 configs/block, so peel chunks aligned to
 /// TwoLevelBitset::kBlockBits cover whole blocks), shrunk until a block of
 /// maximal records fits the u16 local offsets.
-inline std::uint32_t move_store_block_shift(std::size_t max_record) {
+inline std::uint32_t record_block_shift(std::size_t max_record) {
   std::uint32_t shift = 12;
   while (shift > 0 && (std::uint64_t{1} << shift) * max_record > 65535) {
     --shift;
@@ -162,18 +160,17 @@ inline std::uint32_t move_store_block_shift(std::size_t max_record) {
   return shift;
 }
 
-/// The two-level offset index shared by every record container: a record
-/// is addressed as block_base[c >> shift] + local_off[c]. The index is
-/// built in two passes (per-config local offsets + per-block byte totals,
-/// then one prefix sum) and is a function of the configuration index
-/// alone, never of the thread schedule. MoveStore keeps the byte stream
-/// in RAM next to it; SpillMoveStore (spill_store.hpp) keeps only this
+/// The two-level offset index of the record stream: a record is addressed
+/// as block_base[c >> shift] + local_off[c]. The index is built in two
+/// passes (per-config local offsets + per-block byte totals, then one
+/// prefix sum) and is a function of the configuration index alone, never
+/// of the thread schedule. SpillMoveStore (spill_store.hpp) keeps this
 /// index resident and streams the bytes from disk.
 class MoveLayout {
  public:
   void prepare(std::uint64_t total, const MoveRecordCodec& codec) {
     total_ = total;
-    block_shift_ = move_store_block_shift(codec.max_encoded_size());
+    block_shift_ = record_block_shift(codec.max_encoded_size());
     local_off_.assign(total, 0);
     block_base_.assign(block_count() + 1, 0);
   }
@@ -234,62 +231,6 @@ class MoveLayout {
   std::vector<std::uint64_t> block_base_;
 };
 
-/// Random-access container of per-source move records. Layout is fixed by
-/// configuration index alone (never by thread schedule): records live in
-/// one in-RAM byte stream, addressed through a MoveLayout.
-class MoveStore {
- public:
-  MoveStore() = default;
-
-  void prepare(std::uint64_t total, const MoveRecordCodec& codec) {
-    layout_.prepare(total, codec);
-  }
-
-  MoveLayout& layout() { return layout_; }
-  const MoveLayout& layout() const { return layout_; }
-
-  std::uint32_t block_shift() const { return layout_.block_shift(); }
-  std::uint64_t block_count() const { return layout_.block_count(); }
-  std::uint64_t block_begin(std::uint64_t b) const {
-    return layout_.block_begin(b);
-  }
-  std::uint64_t block_end(std::uint64_t b) const {
-    return layout_.block_end(b);
-  }
-
-  void set_local_offset(std::uint64_t c, std::uint16_t off) {
-    layout_.set_local_offset(c, off);
-  }
-  void set_block_bytes(std::uint64_t b, std::uint64_t bytes) {
-    layout_.set_block_bytes(b, bytes);
-  }
-
-  /// After pass 1: prefix-sums the block sizes and allocates the stream.
-  void finalize_layout() {
-    layout_.finalize();
-    stream_.assign(layout_.total_bytes(), 0);
-  }
-
-  std::uint8_t* slot(std::uint64_t c) {
-    return stream_.data() + layout_.offset_of(c);
-  }
-  const std::uint8_t* record_at(std::uint64_t c) const {
-    return stream_.data() + layout_.offset_of(c);
-  }
-
-  std::uint64_t stream_bytes() const { return stream_.size(); }
-  std::uint64_t offset_bytes() const { return layout_.offset_bytes(); }
-
-  void release() {
-    stream_ = {};
-    layout_.release();
-  }
-
- private:
-  MoveLayout layout_;
-  std::vector<std::uint8_t> stream_;
-};
-
 // --- packed heights --------------------------------------------------------
 
 /// Per-configuration height (exact worst-case steps to Lambda), packed as
@@ -329,16 +270,16 @@ class HeightTable {
 
 // --- storage modes, projections, telemetry ---------------------------------
 
-/// Phase B storage backend. kAuto picks the cheapest mode whose projected
-/// *resident* peak fits the memory budget (compressed first, then
+/// Phase B storage backend. kAuto picks the first mode whose projected
+/// *resident* peak fits the memory budget (watch lists first, then
 /// CSR-free, then the disk-spilled stream) and throws a projected-memory
 /// error if none fits.
-enum class PhaseBStorage { kAuto, kCompressed, kCsrFree, kSpill };
+enum class PhaseBStorage { kAuto, kWatchLists, kCsrFree, kSpill };
 
 inline const char* to_string(PhaseBStorage m) {
   switch (m) {
     case PhaseBStorage::kAuto: return "auto";
-    case PhaseBStorage::kCompressed: return "compressed";
+    case PhaseBStorage::kWatchLists: return "watch-lists";
     case PhaseBStorage::kCsrFree: return "csr-free";
     case PhaseBStorage::kSpill: return "spill";
   }
@@ -359,14 +300,24 @@ struct CheckStats {
   std::uint64_t projected_peak_bytes = 0;
   std::uint64_t measured_peak_bytes = 0;
   std::uint64_t edge_count = 0;    ///< daemon step edges: sum of 2^m - 1
-  double bytes_per_edge = 0.0;     ///< edge-storage bytes / edge_count
+  /// Stored edge bytes / edge_count: the spill records' ratio; 0 in the
+  /// record-free in-RAM modes.
+  double bytes_per_edge = 0.0;
   std::uint32_t rounds = 0;        ///< reverse-induction rounds (max height)
+  /// Peel visits that decoded a configuration's moves, summed over rounds,
+  /// and the successors those visits probed. Both are functions of the
+  /// mode and the space alone, identical at every thread count.
+  std::uint64_t rescans = 0;
+  std::uint64_t probes = 0;
   std::uint64_t lambda_bytes = 0;  ///< Lambda membership bitset
-  std::uint64_t counts_bytes = 0;  ///< u32 watch table
-  std::uint64_t offsets_bytes = 0; ///< two-level record offsets
-  std::uint64_t edges_bytes = 0;   ///< in-RAM record stream
+  std::uint64_t frontier_bytes = 0;///< active bitset (the probe)
+  std::uint64_t fin_bytes = 0;     ///< finalized-this-round bitset
+  std::uint64_t wake_bytes = 0;    ///< watch lists: next round's rescans
+  std::uint64_t list_bytes = 0;    ///< watch lists: u32 head + next arrays
+  std::uint64_t watch_bytes = 0;   ///< csr-free: u32 watch table
+  std::uint64_t offsets_bytes = 0; ///< spill: two-level record offsets
   std::uint64_t heights_bytes = 0; ///< height table
-  std::uint64_t frontier_bytes = 0;///< active bitset
+  std::uint64_t move_table_bytes = 0;  ///< per-process move table
   // Disk-tier telemetry (kSpill only; zero elsewhere). spill_bytes is the
   // on-disk record stream; blocks_read counts record blocks streamed back
   // in across all peel rounds; read_amplification is the total bytes
@@ -385,41 +336,42 @@ inline std::uint64_t projected_bitset_bytes(std::uint64_t total) {
   return (words + (words + 63) / 64) * 8;
 }
 
-/// Upper bound on the compressed mode's Phase B peak: Lambda + active
-/// bitsets, two-level offsets, a maximal record per configuration, and
-/// the u16 watch and height tables.
-inline std::uint64_t projected_compressed_bytes(std::uint64_t total,
-                                                std::size_t n,
-                                                std::uint64_t radix) {
-  const MoveRecordCodec codec(n, radix);
-  const std::uint32_t shift = move_store_block_shift(codec.max_encoded_size());
-  const std::uint64_t blocks = total == 0 ? 0 : ((total - 1) >> shift) + 1;
-  return 2 * projected_bitset_bytes(total) +            // Lambda + active
-         2 * total + 8 * (blocks + 1) +                 // record offsets
-         total * codec.max_encoded_size() +             // record stream
-         4 * total +                                    // u32 watch table
-         2 * total;                                     // heights
+/// The watch-list mode's Phase B peak: Lambda, active, fin and wake
+/// bitsets, the u32 head and next arrays, the u16 heights and the move
+/// table.
+inline std::uint64_t projected_watch_lists_bytes(std::uint64_t total,
+                                                 std::size_t n,
+                                                 std::uint64_t radix) {
+  return 4 * projected_bitset_bytes(total) +  // Lambda + active + fin + wake
+         8 * total +                          // u32 head + next
+         2 * total +                          // heights
+         move_table_bytes(n, radix);
 }
 
-/// Upper bound on the CSR-free mode's Phase B peak: no edge storage at
-/// all, just the bitsets, the u32 watch table and the u16 heights.
-inline std::uint64_t projected_csrfree_bytes(std::uint64_t total) {
-  return 2 * projected_bitset_bytes(total) + 4 * total + 2 * total;
+/// The CSR-free mode's Phase B peak: no edge storage, just three bitsets,
+/// the u32 watch table, the u16 heights and the move table.
+inline std::uint64_t projected_csrfree_bytes(std::uint64_t total,
+                                             std::size_t n,
+                                             std::uint64_t radix) {
+  return 3 * projected_bitset_bytes(total) +  // Lambda + active + fin
+         4 * total + 2 * total + move_table_bytes(n, radix);
 }
 
 /// Resident upper bound for the spill mode. The record stream lives on
 /// disk and the peel is watch-free (no u32 watch table — dropping it is
 /// exactly what puts this bound under csr-free's), so RAM holds only the
-/// two bitsets, the two-level offset index and the u16 heights.
+/// three bitsets, the two-level offset index, the u16 heights and the
+/// move table.
 inline std::uint64_t projected_spill_resident_bytes(std::uint64_t total,
                                                     std::size_t n,
                                                     std::uint64_t radix) {
   const MoveRecordCodec codec(n, radix);
-  const std::uint32_t shift = move_store_block_shift(codec.max_encoded_size());
+  const std::uint32_t shift = record_block_shift(codec.max_encoded_size());
   const std::uint64_t blocks = total == 0 ? 0 : ((total - 1) >> shift) + 1;
-  return 2 * projected_bitset_bytes(total) +  // Lambda + active
+  return 3 * projected_bitset_bytes(total) +  // Lambda + active + fin
          2 * total + 8 * (blocks + 1) +       // record offsets
-         2 * total;                           // heights
+         2 * total +                          // heights
+         move_table_bytes(n, radix);
 }
 
 /// Upper bound on the spilled byte stream (every record maximal) — disk
@@ -478,7 +430,7 @@ inline std::uint64_t default_memory_budget() {
   return std::uint64_t{8} << 30;
 }
 
-/// Resolves the storage mode. For kAuto, picks compressed if its
+/// Resolves the storage mode. For kAuto, picks watch lists if their
 /// projected peak fits @p budget, else CSR-free, else spill (whose
 /// *resident* projection is compared against the budget — the record
 /// stream goes to disk), else throws the projected-memory error (the
@@ -491,22 +443,22 @@ inline PhaseBStorage select_phaseb_storage(
     PhaseBStorage requested, std::uint64_t total, std::size_t n,
     std::uint64_t radix, std::uint64_t budget, std::uint64_t* projected_out,
     std::uint64_t* spill_file_out = nullptr) {
-  const std::uint64_t proj_comp = projected_compressed_bytes(total, n, radix);
-  const std::uint64_t proj_free = projected_csrfree_bytes(total);
+  const std::uint64_t proj_lists = projected_watch_lists_bytes(total, n, radix);
+  const std::uint64_t proj_free = projected_csrfree_bytes(total, n, radix);
   const std::uint64_t proj_spill =
       projected_spill_resident_bytes(total, n, radix);
   const std::uint64_t proj_file = projected_spill_file_bytes(total, n, radix);
   if (spill_file_out != nullptr) *spill_file_out = 0;
   auto err = [&](const std::string& head) {
     std::string fits;
-    if (proj_comp <= budget) fits = "compressed mode would fit";
+    if (proj_lists <= budget) fits = "watch-lists mode would fit";
     else if (proj_free <= budget) fits = "csr-free mode would fit";
     else if (proj_spill <= budget) fits = "spill mode would fit";
     else fits = "no storage mode fits (even spill keeps its offset index "
                 "resident); reduce n or K, raise the memory budget, or "
                 "disable the convergence check";
-    SSR_REQUIRE(false, head + " (projected compressed=" +
-                           std::to_string(proj_comp) +
+    SSR_REQUIRE(false, head + " (projected watch-lists=" +
+                           std::to_string(proj_lists) +
                            " bytes, csr-free=" + std::to_string(proj_free) +
                            " bytes, spill resident=" +
                            std::to_string(proj_spill) + " bytes + " +
@@ -521,9 +473,9 @@ inline PhaseBStorage select_phaseb_storage(
   };
   switch (requested) {
     case PhaseBStorage::kAuto:
-      if (proj_comp <= budget) {
-        *projected_out = proj_comp;
-        return PhaseBStorage::kCompressed;
+      if (proj_lists <= budget) {
+        *projected_out = proj_lists;
+        return PhaseBStorage::kWatchLists;
       }
       if (proj_free <= budget) {
         *projected_out = proj_free;
@@ -532,12 +484,12 @@ inline PhaseBStorage select_phaseb_storage(
       if (proj_spill <= budget) return pick_spill();
       err("configuration space exceeds the Phase B memory budget");
       break;
-    case PhaseBStorage::kCompressed:
-      if (proj_comp > budget) {
-        err("compressed Phase B storage exceeds the memory budget");
+    case PhaseBStorage::kWatchLists:
+      if (proj_lists > budget) {
+        err("watch-lists Phase B storage exceeds the memory budget");
       }
-      *projected_out = proj_comp;
-      return PhaseBStorage::kCompressed;
+      *projected_out = proj_lists;
+      return PhaseBStorage::kWatchLists;
     case PhaseBStorage::kCsrFree:
       if (proj_free > budget) {
         err("csr-free Phase B storage exceeds the memory budget");

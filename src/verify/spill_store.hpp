@@ -1,7 +1,6 @@
 // The disk tier behind PhaseBStorage::kSpill: the delta-compressed move
-// records keep MoveStore's exact byte format and two-level MoveLayout
-// addressing, but the stream itself lives in an unlinked temporary file
-// instead of RAM. Three cooperating pieces:
+// records (MoveRecordCodec, addressed through a two-level MoveLayout) live
+// in an unlinked temporary file instead of RAM. Three cooperating pieces:
 //
 //  * SpillFile — RAII fd + mmap owner. Every failure mode (unwritable
 //    tmpdir, ENOSPC mid-write, a file shorter than the layout promises)
@@ -154,10 +153,9 @@ class SpillBlockWriter {
   int cur_ = 0;
 };
 
-/// Spilled counterpart of MoveStore: identical MoveLayout addressing and
-/// record bytes, but the stream is written once through the flush queue,
-/// then mapped read-only for the peel with MADV_WILLNEED prefetch running
-/// a window ahead of the consumers.
+/// The spilled record stream: written once through the flush queue at the
+/// offsets its MoveLayout assigns, then mapped read-only for the peel with
+/// MADV_WILLNEED prefetch running a window ahead of the consumers.
 class SpillMoveStore {
  public:
   SpillMoveStore() = default;

@@ -76,7 +76,7 @@ TEST(Adversary, PackedHeightsDriveIdenticalReplaysInEveryStorageMode) {
   options.keep_heights = true;
   std::vector<std::uint64_t> paths_seen;
   for (PhaseBStorage storage :
-       {PhaseBStorage::kCompressed, PhaseBStorage::kCsrFree,
+       {PhaseBStorage::kWatchLists, PhaseBStorage::kCsrFree,
         PhaseBStorage::kSpill}) {
     options.storage = storage;
     const CheckReport report = checker.run(options);

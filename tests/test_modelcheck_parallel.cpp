@@ -1,16 +1,19 @@
 // The parallel checker's contract: CheckReport is bit-identical at every
 // thread count AND in every Phase B storage mode — same witnesses, same
 // worst case, same height table. The differential tests below pin that by
-// running every covered (n, K) in all three storage backends (compressed
-// move records, CSR-free, disk-spilled records) at 1, 2 and 8 workers (1
-// exercises the solo fast path, the others the shared atomic counters),
-// and pin the heights themselves against a test-local fixpoint over the
-// checker's successor relation. Unit tests for the underlying ThreadPool
-// come first.
+// running every covered (n, K) in all three storage backends (watch
+// lists, CSR-free, disk-spilled records) at 1, 2 and 8 workers (1
+// exercises the solo fast path, the others the shared atomic list pushes
+// and wake bits), and pin the heights themselves against a test-local
+// fixpoint over the checker's successor relation. A ring below Hoepman's
+// bound covers the non-convergent exit, and the move table the peels
+// share is held against the State path. Unit tests for the underlying
+// ThreadPool come first.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
@@ -20,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "dijkstra/kstate.hpp"
+#include "stabilizing/protocol.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/checkers.hpp"
 
@@ -163,7 +168,7 @@ ReferenceHeights reference_heights(const Checker& checker) {
 }
 
 /// Runs @p checker in every storage mode at 1, 2 and 8 workers against a
-/// compressed one-worker baseline, whose heights are first pinned to the
+/// watch-list one-worker baseline, whose heights are first pinned to the
 /// reference fixpoint (skipped for the big spaces, whose successor lists
 /// would not fit in a test's memory).
 template <typename Checker>
@@ -172,7 +177,7 @@ void check_thread_invariance(const Checker& checker,
                              bool against_reference = true) {
   options.keep_heights = true;
   options.threads = 1;
-  options.storage = verify::PhaseBStorage::kCompressed;
+  options.storage = verify::PhaseBStorage::kWatchLists;
   const verify::CheckReport baseline = checker.run(options);
   EXPECT_TRUE(baseline.all_ok()) << what;
   EXPECT_FALSE(baseline.heights.empty()) << what;
@@ -186,13 +191,20 @@ void check_thread_invariance(const Checker& checker,
       ASSERT_EQ(baseline.heights[c], ref.height[c]) << what << " config " << c;
     }
   }
-  for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kCompressed,
+  for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kWatchLists,
                                         verify::PhaseBStorage::kCsrFree,
                                         verify::PhaseBStorage::kSpill}) {
     options.storage = storage;
+    // The peel's visit counts are functions of the mode and the space.
+    // The watch lists rescan a configuration exactly when csr-free's watch
+    // probe fails, so the two agree wherever no rule preserves its state
+    // (true of both library protocols); spill visits every active
+    // configuration each round.
+    std::optional<verify::CheckStats> counts;
+    if (storage != verify::PhaseBStorage::kSpill) counts = baseline.stats;
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      if (storage == verify::PhaseBStorage::kCompressed && threads == 1) {
+      if (storage == verify::PhaseBStorage::kWatchLists && threads == 1) {
         continue;  // the baseline itself
       }
       options.threads = threads;
@@ -202,6 +214,9 @@ void check_thread_invariance(const Checker& checker,
                           " threads=" + std::to_string(threads);
       expect_identical(baseline, got, label.c_str());
       EXPECT_EQ(got.stats.mode, storage) << label;
+      if (!counts) counts = got.stats;
+      EXPECT_EQ(got.stats.rescans, counts->rescans) << label;
+      EXPECT_EQ(got.stats.probes, counts->probes) << label;
       if (storage == verify::PhaseBStorage::kSpill) {
         EXPECT_GT(got.stats.spill_bytes, 0u) << label;
         EXPECT_GT(got.stats.blocks_read, 0u) << label;
@@ -257,14 +272,15 @@ TEST(ModelCheckParallel, AutoSpillsUnderTightBudgetAndMatchesInRam) {
   // The auto-picker's out-of-core tier, in the default suite: a budget
   // squeezed between the spill mode's resident projection and the
   // csr-free projection (the cheapest in-RAM mode) must make kAuto spill
-  // — and the spilled report must match an unconstrained compressed run
+  // — and the spilled report must match an unconstrained watch-list run
   // bit-for-bit. The budget arrives via SSRING_CHECK_MEMORY_BUDGET, so
   // the env path of the default-budget resolution is on the hook too.
   const auto checker = verify::make_ssrmin_checker(4, 5);
   const std::uint64_t total = checker.codec().total();
   const std::uint64_t proj_spill = verify::projected_spill_resident_bytes(
       total, 4, checker.codec().radix());
-  const std::uint64_t proj_free = verify::projected_csrfree_bytes(total);
+  const std::uint64_t proj_free =
+      verify::projected_csrfree_bytes(total, 4, checker.codec().radix());
   ASSERT_LT(proj_spill, proj_free)
       << "watch-free spill must undercut csr-free or auto can never spill";
   const std::uint64_t budget = (proj_spill + proj_free) / 2;
@@ -273,7 +289,7 @@ TEST(ModelCheckParallel, AutoSpillsUnderTightBudgetAndMatchesInRam) {
   options.keep_heights = true;
   options.threads = 2;
   const verify::CheckReport in_ram = checker.run(options);
-  EXPECT_EQ(in_ram.stats.mode, verify::PhaseBStorage::kCompressed);
+  EXPECT_EQ(in_ram.stats.mode, verify::PhaseBStorage::kWatchLists);
 
   ASSERT_EQ(setenv("SSRING_CHECK_MEMORY_BUDGET",
                    std::to_string(budget).c_str(), 1),
@@ -317,7 +333,7 @@ void check_phase_a_invariance(const Checker& checker,
   EXPECT_TRUE(baseline.all_ok()) << what;
   EXPECT_FALSE(baseline.stats.phase_a_sliced) << what;
   options.phase_a = verify::PhaseAMode::kSliced;
-  for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kCompressed,
+  for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kWatchLists,
                                         verify::PhaseBStorage::kCsrFree,
                                         verify::PhaseBStorage::kSpill}) {
     options.storage = storage;
@@ -374,6 +390,194 @@ TEST(ModelCheckSlicedPhaseA, AutoModeUsesSlicesAndMatchesScalar) {
   const verify::CheckReport scalar_run = checker.run(options);
   EXPECT_FALSE(scalar_run.stats.phase_a_sliced);
   expect_identical(scalar_run, auto_run, "ssrmin(3,6) auto vs scalar");
+}
+
+// --- a ring that does not converge ------------------------------------------
+
+/// Dijkstra's K-state rule at K = n - 1, below Hoepman's K = n bound, which
+/// dijkstra::KStateRing rejects: from some configurations the daemon can
+/// avoid Lambda forever.
+struct SubBoundKStateRing {
+  using State = dijkstra::KStateLocal;
+  std::size_t n;
+  std::uint32_t K;
+
+  std::size_t size() const { return n; }
+  int enabled_rule(std::size_t i, const State& self, const State& pred,
+                   const State& /*succ*/) const {
+    return dijkstra::kstate_guard(i, self.x, pred.x) ? 1 : stab::kDisabled;
+  }
+  State apply(std::size_t i, int /*rule*/, const State& /*self*/,
+              const State& pred, const State& /*succ*/) const {
+    return State{dijkstra::kstate_command(i, pred.x, K)};
+  }
+};
+
+/// A checker with its own predicates (so Phase A runs scalar): paper
+/// §2.3 legitimacy — (x, ..., x) or (x+1, ..., x+1, x, ..., x) — and the
+/// token count as the privilege.
+verify::ModelChecker<SubBoundKStateRing> make_sub_bound_checker(
+    std::size_t n) {
+  using Local = dijkstra::KStateLocal;
+  using Config = std::vector<Local>;
+  const auto K = static_cast<std::uint32_t>(n - 1);
+  verify::ConfigCodec<Local> codec(
+      n, K, [](const Local& s) { return s.x; },
+      [](std::uint32_t d) { return Local{d}; });
+  auto legit = [K](const Config& c) {
+    const std::size_t size = c.size();
+    const std::uint32_t x = c[size - 1].x;
+    std::size_t l = 0;
+    while (l < size && c[l].x == (x + 1) % K) ++l;
+    if (l == size) return false;
+    for (std::size_t i = l; i < size; ++i) {
+      if (c[i].x != x) return false;
+    }
+    return true;
+  };
+  auto privileged = [](const Config& c) {
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      const std::size_t pred = stab::pred_index(i, c.size());
+      if (dijkstra::kstate_guard(i, c[i].x, c[pred].x)) ++count;
+    }
+    return count;
+  };
+  return verify::ModelChecker<SubBoundKStateRing>(
+      SubBoundKStateRing{n, K}, std::move(codec), legit, privileged);
+}
+
+TEST(ModelCheckParallel, NonConvergentRingNamesTheLowestCycleWitness) {
+  // The stall exit: a round that finalizes nothing leaves exactly the
+  // configurations the reference fixpoint never settles, and the cycle
+  // witness is the lowest of them — in every mode, at every thread count.
+  struct Case {
+    std::size_t n;
+    std::uint64_t unsettled;
+    std::uint64_t lowest;
+  };
+  for (const Case& k : {Case{4, 3, 15}, Case{5, 4, 108}}) {
+    const auto checker = make_sub_bound_checker(k.n);
+    const std::string what = "dijkstra(" + std::to_string(k.n) + "," +
+                             std::to_string(k.n - 1) + ")";
+    const ReferenceHeights ref = reference_heights(checker);
+    EXPECT_FALSE(ref.converges) << what;
+    std::vector<std::uint64_t> open;
+    for (std::uint64_t c = 0; c < ref.height.size(); ++c) {
+      if (ref.height[c] == UINT32_MAX) open.push_back(c);
+    }
+    ASSERT_EQ(open.size(), k.unsettled) << what;
+    EXPECT_EQ(open.front(), k.lowest) << what;
+
+    verify::CheckOptions options;
+    options.min_privileged = 1;
+    options.max_privileged = 1;
+    options.keep_heights = true;
+    options.threads = 1;
+    options.storage = verify::PhaseBStorage::kWatchLists;
+    const verify::CheckReport baseline = checker.run(options);
+    EXPECT_FALSE(baseline.stats.phase_a_sliced) << what;
+    EXPECT_TRUE(baseline.deadlock_free) << what;
+    EXPECT_TRUE(baseline.closure_holds) << what;
+    EXPECT_TRUE(baseline.token_bounds_hold) << what;
+    EXPECT_FALSE(baseline.convergence_holds) << what;
+    EXPECT_EQ(baseline.cycle_witness, std::optional<std::uint64_t>(k.lowest))
+        << what;
+    EXPECT_EQ(baseline.worst_case_steps, 0u) << what;
+    EXPECT_TRUE(baseline.heights.empty()) << what;
+    EXPECT_GT(baseline.stats.rounds, 0u) << what;
+    for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kWatchLists,
+                                          verify::PhaseBStorage::kCsrFree,
+                                          verify::PhaseBStorage::kSpill}) {
+      options.storage = storage;
+      for (std::size_t threads :
+           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        options.threads = threads;
+        const verify::CheckReport got = checker.run(options);
+        const std::string label = what + " storage=" +
+                                  verify::to_string(storage) +
+                                  " threads=" + std::to_string(threads);
+        expect_identical(baseline, got, label.c_str());
+        EXPECT_EQ(got.stats.rounds, baseline.stats.rounds) << label;
+      }
+    }
+  }
+}
+
+// --- the move table against the State path ---------------------------------
+
+/// On every configuration: the table's digits agree with the codec (by
+/// direct decode and by stepping), its enabled mask with the protocol's
+/// guards, and the subset sums of its deltas with successor_codes().
+/// Pins the neighbour order, the i = 0 rules and the digit weights.
+template <typename Checker>
+void check_move_table(const Checker& checker, const char* what) {
+  const verify::MoveTable table = checker.move_table();
+  const auto& codec = checker.codec();
+  const std::size_t n = codec.ring_size();
+  std::vector<std::uint32_t> digits(n), stepped(n);
+  std::vector<std::int64_t> deltas(n), sums;
+  table.decode(0, stepped.data());
+  for (std::uint64_t c = 0; c < codec.total();
+       ++c, table.advance(stepped.data())) {
+    const auto config = codec.decode(c);
+    table.decode(c, digits.data());
+    ASSERT_EQ(digits, stepped) << what << " config " << c;
+    std::uint32_t want_mask = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(digits[i], codec.encode_digit(config[i]))
+          << what << " config " << c;
+      if (checker.protocol().enabled_rule(
+              i, config[i], config[stab::pred_index(i, n)],
+              config[stab::succ_index(i, n)]) != stab::kDisabled) {
+        want_mask |= std::uint32_t{1} << i;
+      }
+    }
+    const std::uint32_t mask = table.moves(digits.data(), deltas.data());
+    ASSERT_EQ(mask, want_mask) << what << " config " << c;
+    std::vector<std::uint64_t> succs;
+    verify::find_successor(c, deltas.data(),
+                           static_cast<std::size_t>(std::popcount(mask)), sums,
+                           [&](std::uint64_t sc) {
+                             succs.push_back(sc);
+                             return false;
+                           });
+    std::sort(succs.begin(), succs.end());
+    succs.erase(std::unique(succs.begin(), succs.end()), succs.end());
+    ASSERT_EQ(succs, checker.successor_codes(config))
+        << what << " config " << c;
+  }
+}
+
+TEST(MoveTable, MatchesTheStatePathOnEveryConfiguration) {
+  check_move_table(verify::make_ssrmin_checker(3, 4), "ssrmin(3,4)");
+  check_move_table(verify::make_ssrmin_checker(4, 5), "ssrmin(4,5)");
+  check_move_table(verify::make_kstate_checker(4, 5), "dijkstra(4,5)");
+  check_move_table(make_sub_bound_checker(4), "dijkstra(4,3)");
+  check_move_table(make_sub_bound_checker(5), "dijkstra(5,4)");
+}
+
+TEST(MoveTable, DecodesCodesAbove32Bits) {
+  // 24^8 > 2^32: the high digits take the division path, the low ones the
+  // multiply-only one.
+  std::vector<std::uint64_t> weights;
+  for (std::uint64_t w = 1, i = 0; i < 8; ++i, w *= 24) weights.push_back(w);
+  const verify::MoveTable table(
+      8, 24, weights,
+      [](std::size_t, std::uint32_t, std::uint32_t, std::uint32_t) {
+        return std::uint32_t{verify::MoveTable::kDisabled};
+      });
+  std::vector<std::uint32_t> digits(8);
+  for (std::uint64_t c : {std::uint64_t{0}, std::uint64_t{UINT32_MAX},
+                          std::uint64_t{UINT32_MAX} + 1,
+                          std::uint64_t{110075314175},  // 24^8 - 1
+                          std::uint64_t{98765432109}}) {
+    table.decode(c, digits.data());
+    std::uint64_t rest = c;
+    for (std::size_t i = 0; i < 8; ++i, rest /= 24) {
+      EXPECT_EQ(digits[i], rest % 24) << "code " << c << " digit " << i;
+    }
+  }
 }
 
 }  // namespace

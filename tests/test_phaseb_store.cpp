@@ -1,5 +1,5 @@
 // Unit tests for the slim Phase B storage primitives: the varint move
-// record codec (round-trip + fuzz), the two-level MoveStore layout, the
+// record codec (round-trip + fuzz), the two-level MoveLayout, the
 // packed HeightTable, the TwoLevelBitset, the
 // disk-spilled record store (round-trip fuzz + hardened error paths), the
 // cgroup-aware memory budget, and the projected-memory mode-selection
@@ -27,7 +27,7 @@ namespace {
 using namespace ssr;
 using verify::HeightTable;
 using verify::MoveRecordCodec;
-using verify::MoveStore;
+using verify::MoveLayout;
 using verify::PhaseBStorage;
 
 // --- MoveRecordCodec -------------------------------------------------------
@@ -97,54 +97,51 @@ TEST(MoveRecordCodec, RejectsUnsupportedShapes) {
   EXPECT_THROW(MoveRecordCodec(4, 1), std::invalid_argument);
 }
 
-// --- MoveStore -------------------------------------------------------------
+// --- MoveLayout ------------------------------------------------------------
 
-TEST(MoveStore, TwoLevelOffsetsAddressEveryRecord) {
+TEST(MoveLayout, TwoLevelOffsetsAddressEveryRecord) {
   const MoveRecordCodec codec(4, 8);
-  MoveStore store;
-  store.prepare(10000, codec);
-  EXPECT_EQ(store.block_shift(), 12u);
+  MoveLayout layout;
+  layout.prepare(10000, codec);
+  EXPECT_EQ(layout.block_shift(), 12u);
 
   // Give config c a record of size (c % 5): sizes vary within blocks.
   auto size_of = [](std::uint64_t c) {
     return static_cast<std::uint16_t>(c % 5);
   };
-  for (std::uint64_t b = 0; b < store.block_count(); ++b) {
+  std::uint64_t want_bytes = 0;
+  for (std::uint64_t b = 0; b < layout.block_count(); ++b) {
     std::uint16_t running = 0;
-    for (std::uint64_t c = store.block_begin(b); c < store.block_end(b); ++c) {
-      store.set_local_offset(c, running);
+    for (std::uint64_t c = layout.block_begin(b); c < layout.block_end(b);
+         ++c) {
+      layout.set_local_offset(c, running);
       running = static_cast<std::uint16_t>(running + size_of(c));
     }
-    store.set_block_bytes(b, running);
+    layout.set_block_bytes(b, running);
+    want_bytes += running;
   }
-  store.finalize_layout();
-  // Write each record's first byte as a fingerprint, then check
-  // record_at() finds it and consecutive records never overlap.
-  for (std::uint64_t c = 0; c < 10000; ++c) {
-    if (size_of(c) == 0) continue;
-    *store.slot(c) = static_cast<std::uint8_t>(c * 37 % 251);
-  }
-  for (std::uint64_t c = 0; c < 10000; ++c) {
-    if (size_of(c) == 0) continue;
-    EXPECT_EQ(*store.record_at(c), static_cast<std::uint8_t>(c * 37 % 251))
+  layout.finalize();
+  // Records tile the stream: each one starts where the previous one
+  // ended, across block boundaries too, and the last one ends the stream.
+  EXPECT_EQ(layout.offset_of(0), 0u);
+  for (std::uint64_t c = 1; c < 10000; ++c) {
+    EXPECT_EQ(layout.offset_of(c), layout.offset_of(c - 1) + size_of(c - 1))
         << "config " << c;
-    if (c + 1 < 10000 && (c + 1) % 4096 != 0) {
-      EXPECT_EQ(store.record_at(c) + size_of(c), store.record_at(c + 1));
-    }
   }
-  EXPECT_GT(store.stream_bytes(), 0u);
-  EXPECT_GT(store.offset_bytes(), 0u);
+  EXPECT_EQ(layout.total_bytes(), want_bytes);
+  EXPECT_EQ(layout.offset_of(9999) + size_of(9999), want_bytes);
+  EXPECT_GT(layout.offset_bytes(), 0u);
 }
 
-TEST(MoveStore, ShrinksBlockShiftForHugeRecords) {
+TEST(MoveLayout, ShrinksBlockShiftForHugeRecords) {
   // n = 32, radix 64: delta_bits = 7, max record = 1 + varint(2^32-1 mask
   // bytes)... encoded mask of 32 bits needs 5 varint bytes, deltas 28
   // bytes -> 33 bytes/record. 4096 * 33 > 65535, so the shift must drop.
   const MoveRecordCodec codec(32, 64);
-  MoveStore store;
-  store.prepare(100000, codec);
-  EXPECT_LT(store.block_shift(), 12u);
-  EXPECT_LE((std::uint64_t{1} << store.block_shift()) *
+  MoveLayout layout;
+  layout.prepare(100000, codec);
+  EXPECT_LT(layout.block_shift(), 12u);
+  EXPECT_LE((std::uint64_t{1} << layout.block_shift()) *
                 codec.max_encoded_size(),
             65535u);
 }
@@ -368,43 +365,67 @@ TEST(TwoLevelBitset, ForEachSetVisitsExactlyTheSetBits) {
 
 // --- projections + mode selection ------------------------------------------
 
-TEST(PhaseBSelection, AutoPicksCompressedWhenItFits) {
+TEST(PhaseBSelection, ProjectionsCountEveryStructure) {
+  // ssrmin(5,6)-shaped: n = 5, radix 24, 2^20 configurations. The watch
+  // lists hold four bitsets, u32 head + next and u16 heights; csr-free
+  // three bitsets, a u32 watch and the heights; spill three bitsets, the
+  // record offsets and the heights. All three hold the n * radix^3 u16
+  // move table.
+  const std::uint64_t total = 1 << 20;
+  const std::uint64_t bitset = verify::projected_bitset_bytes(total);
+  const std::uint64_t table = verify::move_table_bytes(5, 24);
+  EXPECT_EQ(table, 5u * 24 * 24 * 24 * 2);
+  EXPECT_EQ(verify::projected_watch_lists_bytes(total, 5, 24),
+            4 * bitset + 10 * total + table);
+  EXPECT_EQ(verify::projected_csrfree_bytes(total, 5, 24),
+            3 * bitset + 6 * total + table);
+  const std::uint64_t blocks =
+      ((total - 1) >>
+       verify::record_block_shift(MoveRecordCodec(5, 24).max_encoded_size())) +
+      1;
+  EXPECT_EQ(verify::projected_spill_resident_bytes(total, 5, 24),
+            3 * bitset + 4 * total + 8 * (blocks + 1) + table);
+}
+
+TEST(PhaseBSelection, AutoPicksWatchListsWhenTheyFit) {
   std::uint64_t projected = 0;
   const PhaseBStorage mode = verify::select_phaseb_storage(
       PhaseBStorage::kAuto, 1 << 20, 5, 24, std::uint64_t{1} << 30,
       &projected);
-  EXPECT_EQ(mode, PhaseBStorage::kCompressed);
-  EXPECT_EQ(projected, verify::projected_compressed_bytes(1 << 20, 5, 24));
+  EXPECT_EQ(mode, PhaseBStorage::kWatchLists);
+  EXPECT_EQ(projected, verify::projected_watch_lists_bytes(1 << 20, 5, 24));
   EXPECT_LE(projected, std::uint64_t{1} << 30);
 }
 
 TEST(PhaseBSelection, AutoFallsBackToCsrFreeUnderPressure) {
   const std::uint64_t total = 1 << 20;
   // A budget between the two projections forces the fallback.
-  const std::uint64_t comp = verify::projected_compressed_bytes(total, 5, 24);
-  const std::uint64_t free = verify::projected_csrfree_bytes(total);
-  ASSERT_LT(free, comp);
+  const std::uint64_t lists =
+      verify::projected_watch_lists_bytes(total, 5, 24);
+  const std::uint64_t free = verify::projected_csrfree_bytes(total, 5, 24);
+  ASSERT_LT(free, lists);
   std::uint64_t projected = 0;
   const PhaseBStorage mode = verify::select_phaseb_storage(
-      PhaseBStorage::kAuto, total, 5, 24, (comp + free) / 2, &projected);
+      PhaseBStorage::kAuto, total, 5, 24, (lists + free) / 2, &projected);
   EXPECT_EQ(mode, PhaseBStorage::kCsrFree);
   EXPECT_EQ(projected, free);
 }
 
 TEST(PhaseBSelection, ErrorNamesProjectedBytesAndFittingMode) {
   const std::uint64_t total = 1 << 20;
-  const std::uint64_t comp = verify::projected_compressed_bytes(total, 5, 24);
-  const std::uint64_t free = verify::projected_csrfree_bytes(total);
+  const std::uint64_t lists =
+      verify::projected_watch_lists_bytes(total, 5, 24);
+  const std::uint64_t free = verify::projected_csrfree_bytes(total, 5, 24);
   std::uint64_t projected = 0;
-  // Requesting compressed under a budget only csr-free fits must say so.
+  // Requesting watch lists under a budget only csr-free fits must say so.
   try {
-    verify::select_phaseb_storage(PhaseBStorage::kCompressed, total, 5, 24,
-                                  (comp + free) / 2, &projected);
+    verify::select_phaseb_storage(PhaseBStorage::kWatchLists, total, 5, 24,
+                                  (lists + free) / 2, &projected);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("csr-free mode would fit"), std::string::npos) << msg;
-    EXPECT_NE(msg.find(std::to_string(comp)), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(lists)), std::string::npos) << msg;
   }
   // Nothing fits: the error names both projections and asks to shrink.
   try {
@@ -420,7 +441,7 @@ TEST(PhaseBSelection, ErrorNamesProjectedBytesAndFittingMode) {
 
 TEST(PhaseBSelection, AutoPicksSpillWhenNoInRamModeFits) {
   const std::uint64_t total = 1 << 20;
-  const std::uint64_t free = verify::projected_csrfree_bytes(total);
+  const std::uint64_t free = verify::projected_csrfree_bytes(total, 5, 24);
   const std::uint64_t spill =
       verify::projected_spill_resident_bytes(total, 5, 24);
   // The spill tier only exists below csr-free — that ordering is what the
@@ -513,22 +534,40 @@ TEST(PhaseBSelection, MeasuredPeakReconcilesWithProjection) {
   // The projection is an upper bound for the mode actually run: measured
   // (resident) peak <= projected peak, for all three slim backends — the
   // spilled stream is disk, not RAM, and must stay out of measured peak.
+  // Each mode reports the structures it holds, and only those.
   auto checker = verify::make_ssrmin_checker(4, 5);
   verify::CheckOptions options;
   for (PhaseBStorage storage :
-       {PhaseBStorage::kCompressed, PhaseBStorage::kCsrFree,
+       {PhaseBStorage::kWatchLists, PhaseBStorage::kCsrFree,
         PhaseBStorage::kSpill}) {
     options.storage = storage;
     const verify::CheckReport report = checker.run(options);
-    EXPECT_GT(report.stats.measured_peak_bytes, 0u);
-    EXPECT_LE(report.stats.measured_peak_bytes,
-              report.stats.projected_peak_bytes)
-        << verify::to_string(storage);
-    EXPECT_GT(report.stats.edge_count, 0u);
-    if (storage == PhaseBStorage::kSpill) {
-      EXPECT_GT(report.stats.spill_bytes, 0u);
-      EXPECT_GT(report.stats.blocks_read, 0u);
-      EXPECT_FALSE(report.stats.spill_path.empty());
+    const verify::CheckStats& st = report.stats;
+    const char* mode = verify::to_string(storage);
+    EXPECT_GT(st.measured_peak_bytes, 0u);
+    EXPECT_LE(st.measured_peak_bytes, st.projected_peak_bytes) << mode;
+    EXPECT_EQ(st.measured_peak_bytes,
+              st.lambda_bytes + st.frontier_bytes + st.fin_bytes +
+                  st.wake_bytes + st.list_bytes + st.watch_bytes +
+                  st.offsets_bytes + st.heights_bytes + st.move_table_bytes)
+        << mode;
+    EXPECT_GT(st.edge_count, 0u);
+    EXPECT_GT(st.fin_bytes, 0u) << mode;
+    EXPECT_EQ(st.move_table_bytes, verify::move_table_bytes(4, 20)) << mode;
+    EXPECT_GT(st.rescans, 0u) << mode;
+    EXPECT_GE(st.probes, st.rescans) << mode;
+    const bool lists = storage == PhaseBStorage::kWatchLists;
+    const bool spill = storage == PhaseBStorage::kSpill;
+    EXPECT_EQ(st.list_bytes > 0, lists) << mode;
+    EXPECT_EQ(st.wake_bytes > 0, lists) << mode;
+    EXPECT_EQ(st.watch_bytes > 0, storage == PhaseBStorage::kCsrFree) << mode;
+    EXPECT_EQ(st.offsets_bytes > 0, spill) << mode;
+    // Only the spill records store edges.
+    EXPECT_EQ(st.bytes_per_edge > 0.0, spill) << mode;
+    if (spill) {
+      EXPECT_GT(st.spill_bytes, 0u);
+      EXPECT_GT(st.blocks_read, 0u);
+      EXPECT_FALSE(st.spill_path.empty());
     }
   }
 }

@@ -111,6 +111,20 @@ def check_spill_rows(name: str, doc, problems: list[str]) -> None:
             "stream; regenerate with the out-of-core rows enabled")
 
 
+def check_nproc_rows(name: str, doc, problems: list[str]) -> None:
+    """BENCH_modelcheck.json times the checker at 1 and at nproc workers:
+    every row carries ``nproc``, the host's hardware thread count, so a
+    parallel row reads next to the cores it ran on and rows from
+    different hosts are not compared as one trajectory."""
+    if not isinstance(doc, list):
+        problems.append(f"{name}: expected a row list to check nproc")
+        return
+    missing = [i for i, row in enumerate(doc)
+               if not isinstance(row, dict) or "nproc" not in row]
+    if missing:
+        problems.append(f"{name}: rows {missing[:5]} lack the 'nproc' column")
+
+
 def check_multiring_rows(name: str, doc, problems: list[str]) -> None:
     """BENCH_multiring.json must chart the reactor scaling claim: at least
     three scale rows, each carrying ``rings``, ``handovers_per_sec`` and
@@ -206,6 +220,7 @@ def main() -> int:
             before = len(problems)
             check_backend_rows(name, doc, problems)
             check_spill_rows(name, doc, problems)
+            check_nproc_rows(name, doc, problems)
             if len(problems) > before:
                 continue
         if name == "BENCH_multiring.json":

@@ -264,15 +264,15 @@ int cmd_check(int argc, char** argv) {
   const std::string mode = value_of(argc, argv, "--mode", "auto");
   if (mode == "auto") {
     options.storage = verify::PhaseBStorage::kAuto;
-  } else if (mode == "compressed") {
-    options.storage = verify::PhaseBStorage::kCompressed;
+  } else if (mode == "watch-lists") {
+    options.storage = verify::PhaseBStorage::kWatchLists;
   } else if (mode == "csr-free") {
     options.storage = verify::PhaseBStorage::kCsrFree;
   } else if (mode == "spill") {
     options.storage = verify::PhaseBStorage::kSpill;
   } else {
     std::cerr << "unknown --mode " << mode
-              << " (auto | compressed | csr-free | spill)\n";
+              << " (auto | watch-lists | csr-free | spill)\n";
     return 2;
   }
   options.memory_budget_bytes = static_cast<std::uint64_t>(
@@ -751,7 +751,7 @@ void usage() {
          "  check      exhaustive model check (small n; --protocol "
          "ssrmin|dijkstra\n"
          "             --threads T --mode "
-         "auto|compressed|csr-free|spill\n"
+         "auto|watch-lists|csr-free|spill\n"
          "             --phase-a auto|scalar|sliced --budget BYTES\n"
          "             --tmpdir DIR --stats)\n"
          "  modelgap   token availability under message passing\n"
