@@ -51,6 +51,27 @@ constexpr std::size_t kRecvBuffer = 512;
 // unanswered broadcast up to base << kMaxBackoffShift (64x).
 constexpr std::uint8_t kMaxBackoffShift = 6;
 
+// A frame in flight fits one fixed-stride slot: a length byte, then the
+// frame. The stride covers the largest frame of any valid config (29 B).
+constexpr std::size_t kSlotStride = 32;
+
+std::size_t varint_bytes(std::uint64_t value) {
+  std::size_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) ++bytes;
+  return bytes;
+}
+
+// The longest v2 frame a config can send: magic and version, ring-id,
+// sender, payload length, payload (the destination node, then the widest
+// state: SSRmin's value and flag byte, or dual's two values), CRC-32.
+std::size_t max_frame_bytes(const ReactorConfig& config, std::uint32_t k) {
+  const std::size_t node = varint_bytes(config.nodes - 1);
+  const std::size_t value = varint_bytes(k - 1);
+  const std::size_t payload = node + std::max(value + 1, 2 * value);
+  return 2 + varint_bytes(config.rings - 1) + node + varint_bytes(payload) +
+         payload + 4;
+}
+
 }  // namespace
 
 const char* to_string(ReactorTransport transport) {
@@ -113,6 +134,8 @@ struct MultiRingReactor::Shard {
   std::vector<std::uint64_t> fired;        // advance_to scratch
   std::vector<bool> holder_scratch;        // Telemetry::observe scratch
   std::vector<std::uint32_t> rebroadcast;  // process_frame scratch
+  wire::Bytes payload;                     // broadcast_node scratch
+  wire::Bytes frame;                       // broadcast_node scratch
 
   // Budgeted repair queue (kUdp): timer fires are drained here and
   // processed a few per loop iteration, so a thundering herd of stalled
@@ -128,8 +151,10 @@ struct MultiRingReactor::Shard {
   // the refresh machinery repairs.
   std::uint64_t send_errors = 0;
 
-  // --- virtual transport: pending frames carried by wheel entries -------
-  std::vector<wire::Bytes> slots;
+  // --- virtual transport: in-flight frames carried by wheel entries -----
+  // Slot s is arena[s * kSlotStride, (s + 1) * kSlotStride); freed slot
+  // indices are reused, so the arena grows only to the peak in flight.
+  std::vector<std::uint8_t> arena;
   std::vector<std::uint32_t> free_slots;
 
   // --- udp transport ----------------------------------------------------
@@ -140,29 +165,34 @@ struct MultiRingReactor::Shard {
   sockaddr_in self_addr{};
   wire::Bytes send_arena;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> send_spans;
-  std::optional<wire::Bytes> held;  // reorder slot (one per shard)
+  // Reorder slot (one per shard): a held-back frame, held_size 0 = none.
+  std::array<std::uint8_t, kSlotStride> held{};
+  std::size_t held_size = 0;
   std::thread thread;
 
-  std::size_t put_slot(wire::Bytes frame) {
-    if (!free_slots.empty()) {
-      const std::size_t s = free_slots.back();
+  std::size_t put_slot(wire::ByteView bytes) {
+    std::size_t s = arena.size() / kSlotStride;
+    if (free_slots.empty()) {
+      arena.resize(arena.size() + kSlotStride);
+    } else {
+      s = free_slots.back();
       free_slots.pop_back();
-      slots[s] = std::move(frame);
-      return s;
     }
-    slots.push_back(std::move(frame));
-    return slots.size() - 1;
+    std::uint8_t* slot = arena.data() + s * kSlotStride;
+    slot[0] = static_cast<std::uint8_t>(bytes.size());
+    std::memcpy(slot + 1, bytes.data(), bytes.size());
+    return s;
   }
-  wire::Bytes take_slot(std::size_t s) {
-    wire::Bytes frame = std::move(slots[s]);
-    slots[s].clear();
+  wire::ByteView slot_frame(std::size_t s) const {
+    const std::uint8_t* slot = arena.data() + s * kSlotStride;
+    return {slot + 1, slot[0]};
+  }
+  // Zeroed on release, so a view that outlives its slot reads an empty,
+  // rejected frame instead of replaying the old one.
+  void release_slot(std::size_t s) {
+    std::memset(arena.data() + s * kSlotStride, 0, kSlotStride);
     free_slots.push_back(static_cast<std::uint32_t>(s));
-    return frame;
   }
-};
-
-struct MultiRingReactor::VirtualState {
-  std::uint64_t now_us = 0;
 };
 
 // --- construction ---------------------------------------------------------
@@ -182,6 +212,8 @@ MultiRingReactor::MultiRingReactor(ReactorConfig config)
   table_ = std::make_unique<RingTable>(config_.rings, config_.nodes, k,
                                        std::move(protocols), config_.start,
                                        config_.seed);
+  SSR_REQUIRE(max_frame_bytes(config_, k) < kSlotStride,
+              "a frame of this config does not fit a frame slot");
   refresh_backoff_.assign(config_.rings, 0);
   if (config_.per_ring_telemetry) {
     ring_telemetry_.reserve(config_.rings);
@@ -290,9 +322,11 @@ void MultiRingReactor::broadcast_node(std::size_t ring, std::size_t node,
       ++counters.frames_dropped;
       continue;
     }
-    wire::Bytes payload;
-    table_->encode_payload(ring, node, target, payload);
-    wire::Bytes frame = wire::encode_frame_v2(ring, node, payload);
+    shard.payload.clear();
+    table_->encode_payload(ring, node, target, shard.payload);
+    wire::Bytes& frame = shard.frame;
+    frame.clear();
+    wire::encode_frame_v2_into(frame, ring, node, shard.payload);
     if (fate.corrupt_bits > 0) {
       wire::corrupt_bits(frame, table_->rng(ring), fate.corrupt_bits);
       ++counters.frames_corrupted;
@@ -302,29 +336,28 @@ void MultiRingReactor::broadcast_node(std::size_t ring, std::size_t node,
       // extra latency late, a duplicate is scheduled twice.
       const std::uint64_t arrive = now_us + kVirtualLatencyUs;
       if (fate.duplicate) {
-        const std::size_t dup = shard.put_slot(frame);
-        shard.wheel.schedule_at(arrive, delivery_cookie(dup));
+        shard.wheel.schedule_at(arrive, delivery_cookie(shard.put_slot(frame)));
         ++counters.frames_duplicated;
         ++counters.frames_sent;
       }
       const std::uint64_t when =
           fate.reorder ? arrive + kVirtualLatencyUs : arrive;
       if (fate.reorder) ++counters.frames_reordered;
-      const std::size_t slot = shard.put_slot(std::move(frame));
-      shard.wheel.schedule_at(when, delivery_cookie(slot));
+      shard.wheel.schedule_at(when, delivery_cookie(shard.put_slot(frame)));
       ++counters.frames_sent;
     } else {
       // Batched into the shard's sendmmsg arena. The reorder slot holds a
       // frame back until the next send on this shard, so it goes out stale.
-      auto append = [&](const wire::Bytes& f) {
+      auto append = [&](wire::ByteView f) {
         const std::uint32_t offset =
             static_cast<std::uint32_t>(shard.send_arena.size());
         shard.send_arena.insert(shard.send_arena.end(), f.begin(), f.end());
         shard.send_spans.emplace_back(offset,
                                       static_cast<std::uint32_t>(f.size()));
       };
-      if (fate.reorder && !shard.held.has_value()) {
-        shard.held = std::move(frame);
+      if (fate.reorder && shard.held_size == 0) {
+        std::copy(frame.begin(), frame.end(), shard.held.begin());
+        shard.held_size = frame.size();
         ++counters.frames_reordered;
         ++counters.frames_sent;  // transmitted later, just stale
         continue;
@@ -336,41 +369,59 @@ void MultiRingReactor::broadcast_node(std::size_t ring, std::size_t node,
         ++counters.frames_duplicated;
         ++counters.frames_sent;
       }
-      if (shard.held.has_value()) {
-        append(*shard.held);
-        shard.held.reset();
+      if (shard.held_size != 0) {
+        append(wire::ByteView(shard.held.data(), shard.held_size));
+        shard.held_size = 0;
       }
     }
   }
 }
 
-void MultiRingReactor::process_frame(std::size_t ring, wire::ByteView payload,
-                                     std::uint64_t sender,
-                                     std::uint64_t now_us,
-                                     std::vector<std::uint32_t>& out) {
+std::optional<std::size_t> MultiRingReactor::process_frame(
+    Shard& shard, wire::ByteView bytes, std::uint64_t now_us) {
+  const auto frame = wire::decode_frame_view(bytes);
+  if (!frame) {
+    // Injected corruption, rejected by checksum — exactly what a real
+    // receiver does.
+    ++shard.rejected;
+    return std::nullopt;
+  }
+  if (frame->version != wire::kVersion2) {
+    ++shard.wrong_version;
+    ++shard.rejected;
+    return std::nullopt;
+  }
+  if (frame->ring_id >= config_.rings ||
+      frame->ring_id % shards_.size() != shard.id) {
+    ++shard.rejected;  // misrouted or garbage ring id
+    return std::nullopt;
+  }
+  const auto ring = static_cast<std::size_t>(frame->ring_id);
+  const std::uint64_t sender = frame->sender;
+  const wire::ByteView payload = frame->payload;
+  shard.rebroadcast.clear();
   RingCounters& counters = table_->counters(ring);
   check_scripted_faults(ring, now_us);
   std::size_t offset = 0;
   const auto dest = wire::get_varint(payload, offset);
   if (!dest || *dest >= config_.nodes || sender >= config_.nodes) {
     ++counters.frames_rejected;
-    return;
+    return ring;
   }
   const double t = static_cast<double>(now_us);
-  if (injector_.node_down(*dest, t)) return;  // receiver down: discard
+  if (injector_.node_down(*dest, t)) return ring;  // receiver down: discard
   NodeState state;
   if (!table_->decode_state(ring, payload, offset, state)) {
     ++counters.frames_rejected;
-    return;
+    return ring;
   }
-  Shard& shard = *shards_[ring % shards_.size()];
   const auto result = table_->deliver(
       ring, static_cast<std::size_t>(*dest), static_cast<std::size_t>(sender),
       state, now_us,
       [&](std::uint64_t interval) { shard.latency.record(interval); });
   if (!result.accepted) {
     ++counters.frames_rejected;
-    return;
+    return ring;
   }
   ++counters.frames_received;
   if (result.holder_changed && !ring_telemetry_.empty()) {
@@ -379,8 +430,9 @@ void MultiRingReactor::process_frame(std::size_t ring, wire::ByteView payload,
                                    shard.holder_scratch);
   }
   if (result.state_changed) {
-    out.push_back(static_cast<std::uint32_t>(*dest));
+    shard.rebroadcast.push_back(static_cast<std::uint32_t>(*dest));
   }
+  return ring;
 }
 
 // --- virtual transport ----------------------------------------------------
@@ -421,25 +473,14 @@ void MultiRingReactor::run_virtual(std::chrono::microseconds duration) {
             break;
           }
           default: {  // kCookieDelivery
-            const wire::Bytes frame_bytes = shard.take_slot(value);
-            const auto frame = wire::decode_frame_any(frame_bytes);
-            if (!frame) {
-              // Injected corruption, rejected by checksum — exactly what
-              // a real receiver does.
-              ++shard.rejected;
-              break;
-            }
-            if (frame->version != wire::kVersion2 ||
-                frame->ring_id >= config_.rings) {
-              if (frame->version != wire::kVersion2) ++shard.wrong_version;
-              ++shard.rejected;
-              break;
-            }
-            shard.rebroadcast.clear();
-            process_frame(frame->ring_id, frame->payload, frame->sender, t,
-                          shard.rebroadcast);
-            for (const std::uint32_t node : shard.rebroadcast) {
-              broadcast_node(frame->ring_id, node, t);
+            const auto ring = process_frame(shard, shard.slot_frame(value), t);
+            // The decoded payload pointed into the slot, so it is released
+            // only now, and before a rebroadcast can grow the arena.
+            shard.release_slot(value);
+            if (ring) {
+              for (const std::uint32_t node : shard.rebroadcast) {
+                broadcast_node(*ring, node, t);
+              }
             }
             break;
           }
@@ -447,8 +488,6 @@ void MultiRingReactor::run_virtual(std::chrono::microseconds duration) {
       }
     }
   }
-  virt_ = std::make_unique<VirtualState>();
-  virt_->now_us = end;
 }
 
 // --- udp transport --------------------------------------------------------
@@ -584,27 +623,13 @@ void MultiRingReactor::udp_shard_main(Shard& shard,
           ++shard.rejected;
           continue;
         }
-        const auto frame = wire::decode_frame_any(
-            wire::ByteView(buffers[static_cast<std::size_t>(m)].data(), len));
-        if (!frame) {
-          ++shard.rejected;
-          continue;
-        }
-        if (frame->version != wire::kVersion2) {
-          ++shard.wrong_version;
-          ++shard.rejected;
-          continue;
-        }
-        if (frame->ring_id >= config_.rings ||
-            frame->ring_id % nshards != shard.id) {
-          ++shard.rejected;  // misrouted or garbage ring id
-          continue;
-        }
-        shard.rebroadcast.clear();
-        process_frame(frame->ring_id, frame->payload, frame->sender, rt,
-                      shard.rebroadcast);
+        const auto ring = process_frame(
+            shard,
+            wire::ByteView(buffers[static_cast<std::size_t>(m)].data(), len),
+            rt);
+        if (!ring) continue;
         for (const std::uint32_t node : shard.rebroadcast) {
-          broadcast_node(frame->ring_id, node, rt);
+          broadcast_node(*ring, node, rt);
         }
       }
       flush_sends();

@@ -9,9 +9,9 @@
 // rows of its rings. All frames of a shard's rings travel through the
 // shard's socket as v2 wire frames (ring-id in the header, destination
 // node as the first payload varint), batched with recvmmsg/sendmmsg. Per
-// ring there are no threads, no sockets and no heap objects on the hot
-// path — just table rows and timer-wheel entries — which is what makes
-// 100k+ rings per process tractable.
+// ring there are no threads, no sockets and no heap objects, and a frame
+// allocates nothing — just table rows, timer-wheel entries and reused
+// buffers — which is what makes 100k+ rings per process tractable.
 //
 // Two transports share all of the protocol machinery:
 //
@@ -20,10 +20,11 @@
 //     deterministic order. A seeded virtual run is byte-reproducible
 //     (telemetry JSON and all), which is what the multiring tests pin.
 //     Frames still round-trip through the v2 codec, so the wire path is
-//     exercised identically.
+//     exercised identically; in flight they sit in a fixed-stride slot
+//     arena. This is the transport of the reactor-10k benchmark workload.
 //   * kUdp — real loopback sockets, one shard thread per socket, epoll +
 //     recvmmsg/sendmmsg, wall-clock fault windows, SK_MEMINFO drop
-//     accounting. This is the benchmark transport.
+//     accounting. bench_multiring's socket rows run it.
 //
 // Fault injection reuses PR 3's machinery unchanged: one read-only
 // FaultInjector decides per-frame fates (an empty plan consumes zero RNG
@@ -179,9 +180,12 @@ class MultiRingReactor {
   void check_scripted_faults(std::size_t ring, std::uint64_t now_us);
   void fire_kick(Shard& shard, std::size_t ring, std::uint64_t now_us);
   void fire_refresh(Shard& shard, std::size_t ring, std::uint64_t now_us);
-  void process_frame(std::size_t ring, wire::ByteView payload,
-                     std::uint64_t sender, std::uint64_t now_us,
-                     std::vector<std::uint32_t>& out_broadcasts);
+  /// Decodes one received frame and applies it to its ring. Returns the
+  /// ring, whose nodes listed in the shard's rebroadcast scratch changed
+  /// state and must broadcast; nullopt when the frame names no ring of
+  /// @p shard. The frame's bytes are not read after the call.
+  std::optional<std::size_t> process_frame(Shard& shard, wire::ByteView bytes,
+                                           std::uint64_t now_us);
   void broadcast_node(std::size_t ring, std::size_t node,
                       std::uint64_t now_us);
   void note_holder_change(std::size_t ring, std::size_t node,
@@ -204,8 +208,6 @@ class MultiRingReactor {
   std::uint64_t kernel_rx_drops_ = 0;
 
   // Transport plumbing shared by both modes; see reactor.cpp.
-  struct VirtualState;
-  std::unique_ptr<VirtualState> virt_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -1,11 +1,11 @@
 // Hierarchical (hashed) timer wheel for the multi-ring reactor.
 //
-// A reactor hosting 100k+ rings arms two timers per ring (refresh broadcast
-// and loss-recovery deadline). A std::priority_queue would pay O(log n) per
-// arm/cancel with n in the hundreds of thousands; the classic Varghese &
-// Lauck hierarchical wheel makes arm, cancel and per-tick advance all O(1)
-// amortized, which is what keeps the event loop's idle cost flat as rings
-// are added.
+// The reactor arms one refresh timer per ring, and under the virtual
+// transport one timer per in-flight frame; at 100k rings that is hundreds
+// of thousands of live timers. A std::priority_queue would pay O(log n) per
+// arm; the classic Varghese & Lauck hierarchical wheel makes arm and
+// per-tick advance O(1) amortized, which is what keeps the event loop's
+// idle cost flat as rings are added.
 //
 // Design:
 //   * 4 levels x 256 slots. Level 0 has 1-tick resolution; each higher
@@ -14,35 +14,33 @@
 //   * Timers further than level 0's horizon land in a coarse slot and
 //     *cascade* down one level each time their slot's boundary is crossed,
 //     reaching level 0 before they fire. A timer never fires early.
-//   * Cancellation is O(1) and lazy: the entry is tombstoned in a dense
-//     vector and skipped (and reclaimed) when its slot is drained.
+//   * There is no cancellation: the reactor's refresh timers are lazy
+//     (they re-check the ring's activity when they fire and re-arm).
 //   * Firing order is deterministic: timers that expire on the same tick
-//     fire in the order they were scheduled (TimerIds are monotonic, and
-//     the drain sorts same-tick entries by id). The virtual-clock reactor
-//     relies on this for byte-identical telemetry across runs.
+//     fire in the order they were scheduled (ids are monotonic, and the
+//     drain sorts same-tick entries by id when a cascade left them out of
+//     order). The virtual-clock reactor relies on this for byte-identical
+//     telemetry across runs.
+//   * Drained and cascaded slot buffers go on a free list that placement
+//     draws from, so a steady stream of timers allocates nothing.
 //
 // The wheel knows nothing about time units: callers map ticks to whatever
-// granularity they want (the reactor uses 1 tick = 1 ms virtual, or one
-// epoll_wait round real-time).
+// granularity they want (the reactor uses 1 tick = 1 us, virtual or
+// wall-clock).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
+#include <utility>
 #include <vector>
 
 namespace ssr::runtime {
 
-/// Opaque handle for cancellation. Stable for the life of the timer.
-using TimerId = std::uint64_t;
-
-inline constexpr TimerId kInvalidTimer = 0;
-
-/// Hierarchical timer wheel mapping TimerId -> user cookie (uint64).
+/// Hierarchical timer wheel returning a user cookie (uint64) per expiry.
 ///
-/// The cookie is returned from expire(); the reactor packs
-/// (ring index, timer kind) into it so firing needs no map lookup.
+/// The reactor packs (ring index or frame slot, timer kind) into the
+/// cookie, so firing needs no map lookup.
 class TimerWheel {
  public:
   static constexpr int kLevels = 4;
@@ -55,41 +53,25 @@ class TimerWheel {
   /// Current tick (the last value passed to advance_to, initially 0).
   [[nodiscard]] std::uint64_t now() const { return now_; }
 
-  /// Number of live (scheduled, not cancelled, not fired) timers.
+  /// Number of scheduled timers that have not fired yet.
   [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Schedules a timer to fire at absolute tick @p deadline with @p cookie.
   /// A deadline at or before now() fires on the next advance_to call.
-  TimerId schedule_at(std::uint64_t deadline, std::uint64_t cookie) {
-    const TimerId id = next_id_++;
-    Entry entry;
-    entry.id = id;
-    entry.deadline = deadline < now_ ? now_ : deadline;
-    entry.cookie = cookie;
-    place(entry);
-    live_ids_.insert(id);
+  void schedule_at(std::uint64_t deadline, std::uint64_t cookie) {
+    place(Entry{next_id_++, deadline < now_ ? now_ : deadline, cookie},
+          kLevels);
     ++live_;
-    return id;
   }
 
   /// Schedules @p delay ticks from now.
-  TimerId schedule_in(std::uint64_t delay, std::uint64_t cookie) {
-    return schedule_at(now_ + delay, cookie);
-  }
-
-  /// Cancels a timer. Returns true if it was still pending. O(1): the
-  /// entry is tombstoned and reclaimed when its slot drains.
-  bool cancel(TimerId id) {
-    if (id == kInvalidTimer) return false;
-    if (!live_ids_.erase(id)) return false;  // already fired or cancelled
-    cancelled_.insert(id);
-    --live_;
-    return true;
+  void schedule_in(std::uint64_t delay, std::uint64_t cookie) {
+    schedule_at(now_ + delay, cookie);
   }
 
   /// Advances the wheel to @p tick (inclusive), appending every expired
-  /// (cookie) to @p fired in deterministic order: by deadline, then by
-  /// schedule order within a deadline. Cancelled timers are skipped.
+  /// cookie to @p fired in deterministic order: by deadline, then by
+  /// schedule order within a deadline.
   void advance_to(std::uint64_t tick, std::vector<std::uint64_t>& fired) {
     while (now_ <= tick) {
       drain_due(fired);
@@ -106,190 +88,90 @@ class TimerWheel {
     }
   }
 
-  /// Next pending deadline, or max uint64 if the wheel is empty. O(slots)
-  /// scan — used by the virtual-clock driver to jump idle gaps, not on the
-  /// per-frame hot path.
-  [[nodiscard]] std::uint64_t next_deadline() const {
-    std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-    for (const auto& slot : slots_) {
-      for (const auto& entry : slot) {
-        if (cancelled_.contains(entry.id)) continue;
-        if (entry.deadline < best) best = entry.deadline;
-      }
-    }
-    return best;
-  }
-
  private:
   struct Entry {
-    TimerId id = kInvalidTimer;
+    std::uint64_t id = 0;  ///< schedule order
     std::uint64_t deadline = 0;
     std::uint64_t cookie = 0;
   };
+  static bool by_id(const Entry& a, const Entry& b) { return a.id < b.id; }
 
-  /// Open-addressed tombstone set. The common case is few cancellations
-  /// outstanding at once (slots drain and reclaim them), so a small
-  /// rebuilding hash set beats std::unordered_set's per-node allocations.
-  class IdSet {
-   public:
-    bool insert(TimerId id) {
-      if (contains(id)) return false;
-      // Rehash on live + tombstone load so probe always finds an empty
-      // slot — a table full of tombstones would loop forever.
-      if ((count_ + tombstones_ + 1) * 4 > table_.size() * 3) grow();
-      insert_raw(id);
-      ++count_;
-      return true;
-    }
-
-    bool erase(TimerId id) {
-      if (table_.empty()) return false;
-      std::size_t i = probe(id);
-      if (table_[i] != id) return false;
-      table_[i] = kTombstone;
-      --count_;
-      ++tombstones_;
-      return true;
-    }
-
-    [[nodiscard]] bool contains(TimerId id) const {
-      if (table_.empty()) return false;
-      return table_[probe(id)] == id;
-    }
-
-   private:
-    static constexpr TimerId kEmpty = 0;
-    static constexpr TimerId kTombstone =
-        std::numeric_limits<TimerId>::max();
-
-    [[nodiscard]] std::size_t probe(TimerId id) const {
-      // splitmix-style scramble; table size is a power of two.
-      std::uint64_t h = id * 0x9E3779B97F4A7C15ull;
-      h ^= h >> 29;
-      std::size_t i = h & (table_.size() - 1);
-      while (table_[i] != kEmpty && table_[i] != id) {
-        i = (i + 1) & (table_.size() - 1);
-      }
-      return i;
-    }
-
-    void insert_raw(TimerId id) {
-      std::size_t i = probe(id);
-      // probe() stops at kEmpty or a match; reuse a tombstone if the
-      // linear run crossed one first.
-      std::uint64_t h = id * 0x9E3779B97F4A7C15ull;
-      h ^= h >> 29;
-      std::size_t j = h & (table_.size() - 1);
-      while (table_[j] != kEmpty && table_[j] != id) {
-        if (table_[j] == kTombstone) {
-          i = j;
-          --tombstones_;
-          break;
-        }
-        j = (j + 1) & (table_.size() - 1);
-      }
-      table_[i] = id;
-    }
-
-    void grow() {
-      std::vector<TimerId> old = std::move(table_);
-      // Size to the live count: a rehash also purges tombstones, so the
-      // table may stay the same size (or shrink back to the floor).
-      std::size_t want = 16;
-      while (count_ * 2 >= want) want *= 2;
-      table_.assign(want, kEmpty);
-      tombstones_ = 0;
-      for (TimerId id : old) {
-        if (id != kEmpty && id != kTombstone) insert_raw(id);
-      }
-    }
-
-    std::vector<TimerId> table_;
-    std::size_t count_ = 0;
-    std::size_t tombstones_ = 0;
-  };
+  /// A new slot buffer skips the first doublings: a busy wheel's slots
+  /// hold tens to hundreds of entries, and buffers are recycled anyway.
+  static constexpr std::size_t kFreshSlotCapacity = 64;
 
   [[nodiscard]] std::size_t slot_index(int level, std::uint64_t ticks) const {
     return static_cast<std::size_t>(level) * kSlots +
            static_cast<std::size_t>(ticks & kSlotMask);
   }
 
-  /// Places an entry in the finest level whose horizon covers its delay.
-  void place(const Entry& entry) {
+  /// Places an entry in the finest of the first @p levels levels whose
+  /// horizon covers its delay, or in the coarsest of them. A cascade from
+  /// level L passes L, so a cascaded entry strictly descends.
+  void place(const Entry& entry, int levels) {
     const std::uint64_t delay =
         entry.deadline > now_ ? entry.deadline - now_ : 0;
-    for (int level = 0; level < kLevels; ++level) {
+    for (int level = 0; level < levels; ++level) {
       const std::uint64_t shift = static_cast<std::uint64_t>(level) * kSlotBits;
       const std::uint64_t horizon = std::uint64_t{1}
                                     << (shift + kSlotBits);
-      if (delay < horizon || level == kLevels - 1) {
-        slots_[slot_index(level, entry.deadline >> shift)].push_back(entry);
+      if (delay < horizon || level == levels - 1) {
+        std::vector<Entry>& slot =
+            slots_[slot_index(level, entry.deadline >> shift)];
+        if (slot.capacity() == 0) {
+          if (spare_.empty()) {
+            slot.reserve(kFreshSlotCapacity);
+          } else {
+            slot = std::move(spare_.back());
+            spare_.pop_back();
+          }
+        }
+        slot.push_back(entry);
         return;
       }
     }
   }
 
   /// Fires every due level-0 entry for the current tick in schedule order.
-  /// A cascade can append a coarse-born entry *after* a directly-scheduled
-  /// one with the same deadline, so slot order alone is not schedule
-  /// order; TimerIds are monotonic with scheduling, so sorting the (few)
-  /// due entries by id restores it.
+  /// Direct placement appends in id order, but a cascade can append a
+  /// coarse-born entry *after* a directly-scheduled one with the same
+  /// deadline; only then are the due entries sorted by id.
   void drain_due(std::vector<std::uint64_t>& fired) {
-    auto& slot = slots_[slot_index(0, now_)];
+    std::vector<Entry>& slot = slots_[slot_index(0, now_)];
     if (slot.empty()) return;
-    std::vector<Entry> pending;
-    std::vector<Entry> due;
+    due_.clear();
+    std::size_t kept = 0;
     for (const Entry& entry : slot) {
-      if (cancelled_.erase(entry.id)) continue;
       if (entry.deadline <= now_) {
-        due.push_back(entry);
-        live_ids_.erase(entry.id);
-        --live_;
+        due_.push_back(entry);
       } else {
-        // Same slot index, later lap of the wheel — keep for next time.
-        pending.push_back(entry);
+        slot[kept++] = entry;  // same slot index, a later lap of the wheel
       }
     }
-    slot = std::move(pending);
-    std::sort(due.begin(), due.end(),
-              [](const Entry& a, const Entry& b) { return a.id < b.id; });
-    for (const Entry& entry : due) fired.push_back(entry.cookie);
+    slot.resize(kept);
+    live_ -= due_.size();
+    if (!std::is_sorted(due_.begin(), due_.end(), by_id)) {
+      std::sort(due_.begin(), due_.end(), by_id);
+    }
+    for (const Entry& entry : due_) fired.push_back(entry.cookie);
+    if (slot.empty()) spare_.push_back(std::exchange(slot, {}));
   }
 
   /// Moves every entry of a coarse slot down to its proper finer level.
   void cascade(int level, std::size_t slot) {
-    auto entries = std::move(slots_[slot]);
-    slots_[slot].clear();
-    for (const Entry& entry : entries) {
-      if (cancelled_.erase(entry.id)) continue;
-      place_below(entry, level);
-    }
-  }
-
-  /// Like place() but never back into @p from_level or coarser (a cascaded
-  /// entry always strictly descends, so cascading terminates).
-  void place_below(const Entry& entry, int from_level) {
-    const std::uint64_t delay =
-        entry.deadline > now_ ? entry.deadline - now_ : 0;
-    for (int level = 0; level < from_level; ++level) {
-      const std::uint64_t shift = static_cast<std::uint64_t>(level) * kSlotBits;
-      const std::uint64_t horizon = std::uint64_t{1}
-                                    << (shift + kSlotBits);
-      if (delay < horizon || level == from_level - 1) {
-        slots_[slot_index(level, entry.deadline >> shift)].push_back(entry);
-        return;
-      }
-    }
-    // from_level == 0 cannot happen (cascade starts at level 1).
-    slots_[slot_index(0, entry.deadline)].push_back(entry);
+    if (slots_[slot].empty()) return;
+    std::vector<Entry> entries = std::exchange(slots_[slot], {});
+    for (const Entry& entry : entries) place(entry, level);
+    entries.clear();
+    spare_.push_back(std::move(entries));
   }
 
   std::vector<std::vector<Entry>> slots_;
-  IdSet cancelled_;
-  IdSet live_ids_;
+  std::vector<std::vector<Entry>> spare_;  ///< empty slot buffers to reuse
+  std::vector<Entry> due_;                 ///< drain_due scratch
   std::uint64_t now_ = 0;
   std::size_t live_ = 0;
-  TimerId next_id_ = 1;
+  std::uint64_t next_id_ = 1;
 };
 
 }  // namespace ssr::runtime

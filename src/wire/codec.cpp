@@ -75,70 +75,38 @@ std::string to_string(DecodeError error) {
   return "unknown";
 }
 
-Bytes encode_frame(std::uint64_t sender, ByteView payload) {
-  Bytes out;
-  out.reserve(payload.size() + 12);
-  out.push_back(kMagic);
-  out.push_back(kVersion);
-  put_varint(out, sender);
-  put_varint(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = crc32(out);
-  out.push_back(static_cast<std::uint8_t>(crc));
-  out.push_back(static_cast<std::uint8_t>(crc >> 8));
-  out.push_back(static_cast<std::uint8_t>(crc >> 16));
-  out.push_back(static_cast<std::uint8_t>(crc >> 24));
-  return out;
-}
+namespace {
 
-std::optional<Frame> decode_frame(ByteView data, DecodeError* error) {
-  auto fail = [&](DecodeError e) -> std::optional<Frame> {
-    if (error != nullptr) *error = e;
-    return std::nullopt;
-  };
-  if (error != nullptr) *error = DecodeError::kNone;
-  if (data.size() < 2 + 1 + 1 + 4) return fail(DecodeError::kTruncated);
-  if (data[0] != kMagic) return fail(DecodeError::kBadMagic);
-  if (data[1] != kVersion) return fail(DecodeError::kBadVersion);
-  std::size_t offset = 2;
-  const auto sender = get_varint(data, offset);
-  if (!sender) return fail(DecodeError::kTruncated);
-  const auto length = get_varint(data, offset);
-  if (!length) return fail(DecodeError::kTruncated);
-  if (*length > data.size() || offset + *length + 4 != data.size()) {
-    return fail(DecodeError::kBadLength);
-  }
-  const std::size_t crc_offset = offset + *length;
-  const std::uint32_t stored =
-      static_cast<std::uint32_t>(data[crc_offset]) |
-      (static_cast<std::uint32_t>(data[crc_offset + 1]) << 8) |
-      (static_cast<std::uint32_t>(data[crc_offset + 2]) << 16) |
-      (static_cast<std::uint32_t>(data[crc_offset + 3]) << 24);
-  if (crc32(data.first(crc_offset)) != stored) {
-    return fail(DecodeError::kBadChecksum);
-  }
-  Frame frame;
-  frame.sender = *sender;
-  frame.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(offset),
-                       data.begin() + static_cast<std::ptrdiff_t>(crc_offset));
-  return frame;
-}
-
-void encode_frame_v2_into(Bytes& out, std::uint64_t ring_id,
-                          std::uint64_t sender, ByteView payload) {
+/// Appends magic, version, ring-id (v2 only), sender, length, payload and
+/// the CRC of all of them.
+void put_frame(Bytes& out, std::uint8_t version, std::uint64_t ring_id,
+               std::uint64_t sender, ByteView payload) {
   const std::size_t start = out.size();
   out.push_back(kMagic);
-  out.push_back(kVersion2);
-  put_varint(out, ring_id);
+  out.push_back(version);
+  if (version == kVersion2) put_varint(out, ring_id);
   put_varint(out, sender);
   put_varint(out, payload.size());
   out.insert(out.end(), payload.begin(), payload.end());
   const std::uint32_t crc =
       crc32(ByteView(out.data() + start, out.size() - start));
-  out.push_back(static_cast<std::uint8_t>(crc));
-  out.push_back(static_cast<std::uint8_t>(crc >> 8));
-  out.push_back(static_cast<std::uint8_t>(crc >> 16));
-  out.push_back(static_cast<std::uint8_t>(crc >> 24));
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<std::uint8_t>(crc >> shift));
+  }
+}
+
+}  // namespace
+
+Bytes encode_frame(std::uint64_t sender, ByteView payload) {
+  Bytes out;
+  out.reserve(payload.size() + 12);
+  put_frame(out, kVersion, 0, sender, payload);
+  return out;
+}
+
+void encode_frame_v2_into(Bytes& out, std::uint64_t ring_id,
+                          std::uint64_t sender, ByteView payload) {
+  put_frame(out, kVersion2, ring_id, sender, payload);
 }
 
 Bytes encode_frame_v2(std::uint64_t ring_id, std::uint64_t sender,
@@ -149,24 +117,25 @@ Bytes encode_frame_v2(std::uint64_t ring_id, std::uint64_t sender,
   return out;
 }
 
-std::optional<FrameV2> decode_frame_any(ByteView data, DecodeError* error) {
-  auto fail = [&](DecodeError e) -> std::optional<FrameV2> {
+std::optional<FrameView> decode_frame_view(ByteView data, DecodeError* error,
+                                           std::uint8_t max_version) {
+  auto fail = [&](DecodeError e) -> std::optional<FrameView> {
     if (error != nullptr) *error = e;
     return std::nullopt;
   };
   if (error != nullptr) *error = DecodeError::kNone;
   if (data.size() < 2 + 1 + 1 + 4) return fail(DecodeError::kTruncated);
   if (data[0] != kMagic) return fail(DecodeError::kBadMagic);
-  const std::uint8_t version = data[1];
-  if (version != kVersion && version != kVersion2) {
+  FrameView frame;
+  frame.version = data[1];
+  if (frame.version < kVersion || frame.version > max_version) {
     return fail(DecodeError::kBadVersion);
   }
   std::size_t offset = 2;
-  std::uint64_t ring_id = 0;
-  if (version == kVersion2) {
+  if (frame.version == kVersion2) {
     const auto ring = get_varint(data, offset);
     if (!ring) return fail(DecodeError::kTruncated);
-    ring_id = *ring;
+    frame.ring_id = *ring;
   }
   const auto sender = get_varint(data, offset);
   if (!sender) return fail(DecodeError::kTruncated);
@@ -176,21 +145,29 @@ std::optional<FrameV2> decode_frame_any(ByteView data, DecodeError* error) {
     return fail(DecodeError::kBadLength);
   }
   const std::size_t crc_offset = offset + *length;
-  const std::uint32_t stored =
-      static_cast<std::uint32_t>(data[crc_offset]) |
-      (static_cast<std::uint32_t>(data[crc_offset + 1]) << 8) |
-      (static_cast<std::uint32_t>(data[crc_offset + 2]) << 16) |
-      (static_cast<std::uint32_t>(data[crc_offset + 3]) << 24);
+  std::uint32_t stored = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    stored |= static_cast<std::uint32_t>(data[crc_offset + i]) << (8 * i);
+  }
   if (crc32(data.first(crc_offset)) != stored) {
     return fail(DecodeError::kBadChecksum);
   }
-  FrameV2 frame;
-  frame.version = version;
-  frame.ring_id = ring_id;
   frame.sender = *sender;
-  frame.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(offset),
-                       data.begin() + static_cast<std::ptrdiff_t>(crc_offset));
+  frame.payload = data.subspan(offset, *length);
   return frame;
+}
+
+std::optional<Frame> decode_frame(ByteView data, DecodeError* error) {
+  const auto view = decode_frame_view(data, error, kVersion);
+  if (!view) return std::nullopt;
+  return Frame{view->sender, Bytes(view->payload.begin(), view->payload.end())};
+}
+
+std::optional<FrameV2> decode_frame_any(ByteView data, DecodeError* error) {
+  const auto view = decode_frame_view(data, error);
+  if (!view) return std::nullopt;
+  return FrameV2{view->version, view->ring_id, view->sender,
+                 Bytes(view->payload.begin(), view->payload.end())};
 }
 
 void corrupt_bits(Bytes& frame, Rng& rng, std::size_t flips) {

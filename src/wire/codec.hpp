@@ -16,12 +16,13 @@
 //     ring-id varint between the version byte and the sender:
 //       magic(0xA5) | version(2) | ring-id varint | sender varint |
 //       payload-length varint | payload bytes | crc32
-//     decode_frame_any() decodes both versions (a v1 frame reports ring 0),
-//     which is what lets the MultiRingReactor share sockets with the
-//     single-ring runtimes during a migration;
+//     decode_frame_view() parses both versions (a v1 frame reports ring 0)
+//     without copying: its payload points into the input. It is the one
+//     frame parser; decode_frame() and decode_frame_any() copy its payload
+//     out;
 //   * per-protocol state payload codecs (SSRmin, K-state, dual K-state).
 //
-// decode_frame() never throws on malformed input: every parse failure —
+// The decoders never throw on malformed input: every parse failure —
 // truncation, bad magic, bad version, length mismatch, checksum mismatch —
 // returns std::nullopt with a reason, because "garbage from the network"
 // is an expected input, not a programming error.
@@ -80,6 +81,15 @@ struct FrameV2 {
   Bytes payload;
 };
 
+/// A decoded frame of either version whose payload points into the bytes
+/// it was decoded from, and is valid only as long as they are.
+struct FrameView {
+  std::uint8_t version = 2;
+  std::uint64_t ring_id = 0;
+  std::uint64_t sender = 0;
+  ByteView payload;
+};
+
 inline constexpr std::uint8_t kMagic = 0xA5;
 inline constexpr std::uint8_t kVersion = 1;
 inline constexpr std::uint8_t kVersion2 = 2;
@@ -87,12 +97,13 @@ inline constexpr std::uint8_t kVersion2 = 2;
 /// Builds a complete frame around @p payload.
 Bytes encode_frame(std::uint64_t sender, ByteView payload);
 
-/// Parses a frame; on failure returns nullopt and sets @p error (if given).
+/// Parses a v1 frame; on failure returns nullopt and sets @p error (if
+/// given). A v2 frame fails with kBadVersion.
 std::optional<Frame> decode_frame(ByteView data, DecodeError* error = nullptr);
 
 /// Appends a complete v2 frame (ring-id keyed) to @p out. The append form
-/// is the reactor's hot path: frames for one sendmmsg batch share a single
-/// arena buffer instead of allocating per frame.
+/// is the reactor's hot path: it encodes into a reused buffer, so a frame
+/// allocates nothing.
 void encode_frame_v2_into(Bytes& out, std::uint64_t ring_id,
                           std::uint64_t sender, ByteView payload);
 
@@ -100,10 +111,15 @@ void encode_frame_v2_into(Bytes& out, std::uint64_t ring_id,
 Bytes encode_frame_v2(std::uint64_t ring_id, std::uint64_t sender,
                       ByteView payload);
 
-/// Parses a frame of either version: v2 yields its ring-id; a v1 frame is
-/// accepted for backward compatibility and reports ring_id = 0 with
-/// version = 1 (callers that care can dispatch on .version). Any other
-/// version byte fails with kBadVersion.
+/// Parses a frame of version 1 up to @p max_version without copying: v2
+/// yields its ring-id; a v1 frame reports ring_id = 0 with version = 1
+/// (callers that care can dispatch on .version). Any other version byte
+/// fails with kBadVersion, before the rest of the frame is read.
+std::optional<FrameView> decode_frame_view(ByteView data,
+                                           DecodeError* error = nullptr,
+                                           std::uint8_t max_version = kVersion2);
+
+/// decode_frame_view() of either version, with the payload copied out.
 std::optional<FrameV2> decode_frame_any(ByteView data,
                                         DecodeError* error = nullptr);
 

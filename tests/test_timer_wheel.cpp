@@ -1,6 +1,6 @@
 // Timer-wheel unit tests: cascade correctness across level boundaries,
-// coarse-slot ordering, O(1) lazy cancellation, and deterministic firing
-// order under a fixed virtual clock. The multi-ring reactor's telemetry
+// coarse-slot ordering, and deterministic firing order under a fixed
+// virtual clock. The multi-ring reactor's telemetry
 // determinism rests on the last property, so it is tested both directly
 // and as a randomized differential against a reference priority queue.
 #include "runtime/timer_wheel.hpp"
@@ -17,7 +17,6 @@
 namespace {
 
 using ssr::Rng;
-using ssr::runtime::TimerId;
 using ssr::runtime::TimerWheel;
 
 std::vector<std::uint64_t> advance(TimerWheel& wheel, std::uint64_t tick) {
@@ -118,32 +117,20 @@ TEST(TimerWheel, SameTickOrderSurvivesCascade) {
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(fired[i], i);
 }
 
-TEST(TimerWheel, CancelledTimerNeverFires) {
+TEST(TimerWheel, CascadedTimerFiresBeforeLaterDirectOneOnSameTick) {
+  // A level-1 timer for tick 300, scheduled first, cascades into level-0
+  // slot 44 at tick 256, behind a timer for the same tick that was placed
+  // there directly at tick 100. Schedule order must still win.
   TimerWheel wheel;
-  const TimerId keep = wheel.schedule_at(100, 1);
-  const TimerId drop = wheel.schedule_at(100, 2);
-  (void)keep;
-  EXPECT_TRUE(wheel.cancel(drop));
-  EXPECT_FALSE(wheel.cancel(drop)) << "double cancel must report false";
-  EXPECT_EQ(wheel.size(), 1u);
-  const auto fired = advance(wheel, 200);
-  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1}));
-}
-
-TEST(TimerWheel, CancelCoarseTimerBeforeCascade) {
-  TimerWheel wheel;
-  const TimerId id = wheel.schedule_at(100'000, 7);  // level 2
-  EXPECT_TRUE(wheel.cancel(id));
-  const auto fired = advance(wheel, 200'000);
+  wheel.schedule_at(300, 1);  // delay 300: level 1
+  std::vector<std::uint64_t> fired;
+  wheel.advance_to(100, fired);
+  wheel.schedule_at(300, 2);  // delay 200: level 0
+  wheel.advance_to(299, fired);
   EXPECT_TRUE(fired.empty());
+  wheel.advance_to(300, fired);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2}));
   EXPECT_EQ(wheel.size(), 0u);
-}
-
-TEST(TimerWheel, CancelAfterFireIsFalse) {
-  TimerWheel wheel;
-  const TimerId id = wheel.schedule_at(3, 9);
-  EXPECT_EQ(advance(wheel, 3).size(), 1u);
-  EXPECT_FALSE(wheel.cancel(id));
 }
 
 TEST(TimerWheel, PastDeadlineFiresOnNextAdvance) {
@@ -153,17 +140,6 @@ TEST(TimerWheel, PastDeadlineFiresOnNextAdvance) {
   wheel.schedule_at(10, 4);  // already past; clamps to now
   wheel.advance_to(50, fired);
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{4}));
-}
-
-TEST(TimerWheel, NextDeadlineTracksEarliestLive) {
-  TimerWheel wheel;
-  EXPECT_EQ(wheel.next_deadline(),
-            std::numeric_limits<std::uint64_t>::max());
-  const TimerId a = wheel.schedule_at(40, 1);
-  wheel.schedule_at(900, 2);
-  EXPECT_EQ(wheel.next_deadline(), 40u);
-  wheel.cancel(a);
-  EXPECT_EQ(wheel.next_deadline(), 900u);
 }
 
 TEST(TimerWheel, RescheduleLoopLikeRefreshTimer) {
@@ -189,16 +165,14 @@ TEST(TimerWheel, RescheduleLoopLikeRefreshTimer) {
 
 TEST(TimerWheel, DifferentialAgainstReferenceQueue) {
   // Randomized differential vs a (deadline, seq)-ordered reference under a
-  // fixed seed: identical fire sequence, including cancellations and
-  // re-schedules, across all four levels.
+  // fixed seed: identical fire sequence across all four levels.
   Rng rng(20260809);
   TimerWheel wheel;
   struct Ref {
     std::uint64_t deadline;
     std::uint64_t seq;
     std::uint64_t cookie;
-    TimerId id;
-    bool cancelled = false;
+    bool fired = false;
   };
   std::vector<Ref> reference;
   std::uint64_t seq = 0;
@@ -216,17 +190,10 @@ TEST(TimerWheel, DifferentialAgainstReferenceQueue) {
         default: delay = 16'000'000 + rng.below(20'000'000); break;
       }
       const std::uint64_t cookie = seq;
-      const TimerId id = wheel.schedule_in(delay, cookie);
-      reference.push_back({now + delay, seq, cookie, id});
+      wheel.schedule_in(delay, cookie);
+      reference.push_back({now + delay, seq, cookie});
       ++seq;
-    } else if (action < 8 && !reference.empty()) {
-      auto& victim = reference[rng.below(reference.size())];
-      const bool wheel_says = wheel.cancel(victim.id);
-      const bool ref_says = !victim.cancelled && victim.deadline > now;
-      // A timer that already fired or was cancelled reports false.
-      EXPECT_EQ(wheel_says, ref_says) << "cancel disagreement";
-      victim.cancelled = victim.cancelled || wheel_says;
-    } else {
+    } else if (action >= 8) {
       now += rng.below(5000);
       got.clear();
       wheel.advance_to(now, got);
@@ -234,7 +201,7 @@ TEST(TimerWheel, DifferentialAgainstReferenceQueue) {
       // (deadline, schedule seq).
       std::vector<Ref*> due;
       for (auto& r : reference) {
-        if (!r.cancelled && r.deadline <= now) due.push_back(&r);
+        if (!r.fired && r.deadline <= now) due.push_back(&r);
       }
       std::sort(due.begin(), due.end(), [](const Ref* a, const Ref* b) {
         if (a->deadline != b->deadline) return a->deadline < b->deadline;
@@ -243,14 +210,14 @@ TEST(TimerWheel, DifferentialAgainstReferenceQueue) {
       ASSERT_EQ(got.size(), due.size()) << "at now=" << now;
       for (std::size_t i = 0; i < due.size(); ++i) {
         EXPECT_EQ(got[i], due[i]->cookie) << "fire order differs at " << i;
-        due[i]->cancelled = true;  // consumed
+        due[i]->fired = true;
       }
     }
   }
   // Everything still live must agree too.
   std::size_t ref_live = 0;
   for (const auto& r : reference) {
-    if (!r.cancelled) ++ref_live;
+    if (!r.fired) ++ref_live;
   }
   EXPECT_EQ(wheel.size(), ref_live);
 }

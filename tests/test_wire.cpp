@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace ssr::wire {
 namespace {
 
@@ -245,6 +247,63 @@ TEST(FrameV2, ArenaAppendedFramesDecodeIndividually) {
   EXPECT_EQ(second->ring_id, 20u);
   EXPECT_EQ(second->sender, 2u);
   EXPECT_EQ(second->payload, (Bytes{0xBB, 0xCC}));
+}
+
+/// decode_frame_view() must agree with the copying decoders on @p data: the
+/// same verdict and DecodeError as decode_frame_any(), equal fields and
+/// payload bytes, and a payload view inside @p data. decode_frame() accepts
+/// exactly the valid v1 frames, with the same payload.
+void expect_view_agrees(ByteView data) {
+  DecodeError any_error{}, view_error{}, v1_error{};
+  const auto any = decode_frame_any(data, &any_error);
+  const auto view = decode_frame_view(data, &view_error);
+  const auto v1 = decode_frame(data, &v1_error);
+  ASSERT_EQ(view.has_value(), any.has_value());
+  EXPECT_EQ(view_error, any_error);
+  EXPECT_EQ(v1.has_value(), view.has_value() && view->version == kVersion);
+  if (!view) return;
+  EXPECT_EQ(view->version, any->version);
+  EXPECT_EQ(view->ring_id, any->ring_id);
+  EXPECT_EQ(view->sender, any->sender);
+  EXPECT_EQ(Bytes(view->payload.begin(), view->payload.end()), any->payload);
+  EXPECT_GE(view->payload.data(), data.data());
+  EXPECT_LE(view->payload.data() + view->payload.size(),
+            data.data() + data.size());
+  if (v1) {
+    EXPECT_EQ(v1->payload, any->payload);
+  }
+}
+
+TEST(FrameView, AgreesOnEveryTruncationAndBitFlip) {
+  const Bytes payload{5, 6, 7, 8};
+  for (const Bytes& framed :
+       {encode_frame(3, payload), encode_frame_v2(100000, 2, payload)}) {
+    for (std::size_t len = 0; len <= framed.size(); ++len) {
+      SCOPED_TRACE("prefix of length " + std::to_string(len));
+      expect_view_agrees(ByteView(framed.data(), len));
+    }
+    for (std::size_t bit = 0; bit < framed.size() * 8; ++bit) {
+      SCOPED_TRACE("bit " + std::to_string(bit));
+      Bytes flipped = framed;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      expect_view_agrees(flipped);
+    }
+  }
+}
+
+TEST(FrameView, AgreesOnRandomGarbage) {
+  // Half of the inputs start with a valid magic and version byte, so the
+  // parse reaches the varints, the length and the checksum.
+  Rng rng(18);
+  for (int trial = 0; trial < 5000; ++trial) {
+    Bytes junk(rng.below(40));
+    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.below(256));
+    if (junk.size() >= 2 && trial % 2 == 0) {
+      junk[0] = kMagic;
+      junk[1] = static_cast<std::uint8_t>(1 + rng.below(2));
+    }
+    expect_view_agrees(junk);
+  }
 }
 
 TEST(StatePayload, SsrRoundTrip) {

@@ -128,9 +128,11 @@ def check_nproc_rows(name: str, doc, problems: list[str]) -> None:
 def check_multiring_rows(name: str, doc, problems: list[str]) -> None:
     """BENCH_multiring.json must chart the reactor scaling claim: at least
     three scale rows, each carrying ``rings``, ``handovers_per_sec`` and
-    ``p99_us``. A rerun that dropped the 100k row or renamed the latency
-    column fails CI here instead of shipping a trajectory that no longer
-    backs E27."""
+    ``p99_us``, plus ``transport`` (udp or virtual), ``nproc`` (the host's
+    hardware threads) and ``ns_per_frame`` (wall ns of the run over frames
+    sent). A rerun that dropped the 100k row, renamed the latency column or
+    came from an unlabelled host fails CI here instead of shipping a
+    trajectory that no longer backs E27."""
     if not isinstance(doc, list):
         problems.append(f"{name}: expected a row list of scale points")
         return
@@ -138,7 +140,8 @@ def check_multiring_rows(name: str, doc, problems: list[str]) -> None:
         problems.append(
             f"{name}: only {len(doc)} scale rows; need >= 3 (1k/10k/100k)")
         return
-    required = ("rings", "handovers_per_sec", "p99_us")
+    required = ("rings", "handovers_per_sec", "p99_us", "transport",
+                "nproc", "ns_per_frame")
     for i, row in enumerate(doc):
         missing = [k for k in required
                    if not isinstance(row, dict) or k not in row]
