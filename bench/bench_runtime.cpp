@@ -1,14 +1,16 @@
 // E13 — graceful handover on real threads: one jthread per node, real
 // channels, real clocks. Consistent sampler snapshots must never observe
 // zero SSRmin token holders; the Dijkstra baseline has genuine extinction
-// windows a sampler can catch.
+// windows a sampler can catch. The same ring then runs over real loopback
+// UDP sockets on the multi-ring reactor (one ring, one shard), whose
+// telemetry integrates every holder transition exactly.
 #include <chrono>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "core/legitimacy.hpp"
 #include "runtime/factories.hpp"
-#include "runtime/udp_ring.hpp"
+#include "runtime/reactor.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -70,40 +72,46 @@ int main() {
           .cell(r.messages_sent);
     }
   }
+  std::cout << table.render() << '\n';
+
   // The same experiment over real loopback UDP sockets with CRC-framed
   // states, clean and with 20% frame corruption (rejected by checksum,
   // i.e. behaving as loss).
+  TextTable udp_table({"algorithm", "n", "observed us", "zero dwell us",
+                       "min holders", "max holders", "handovers",
+                       "rules exec", "msgs sent", "rejected"});
   for (std::size_t n : sizes) {
-    const auto K = static_cast<std::uint32_t>(n + 1);
     for (double corruption : {0.0, 0.2}) {
-      core::SsrMinRing ring(n, K);
-      runtime::UdpParams params;
-      params.refresh_interval = 1000us;
-      params.seed = 99;
-      params.corruption_probability = corruption;
-      runtime::UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0),
-                              params);
-      udp.start();
-      const runtime::SamplerReport r = udp.observe(window, 300us);
-      udp.stop();
-      table.row()
+      runtime::ReactorConfig config;
+      config.rings = 1;
+      config.nodes = n;
+      config.refresh_interval = 1000us;
+      config.seed = 99;
+      config.fault_plan.probabilities.corrupt = corruption;
+      config.transport = runtime::ReactorTransport::kUdp;
+      config.start = runtime::RingStart::kLegitimate;
+      config.per_ring_telemetry = true;
+      runtime::MultiRingReactor reactor(config);
+      const runtime::ReactorReport r = reactor.run(window);
+      const runtime::Telemetry& t = reactor.ring_telemetry(0);
+      udp_table.row()
           .cell(corruption == 0.0 ? "ssrmin/udp" : "ssrmin/udp+20%corrupt")
           .cell(n)
-          .cell(r.samples)
-          .cell(r.consistent_samples)
-          .cell(r.zero_holder_samples)
-          .cell(r.min_holders)
-          .cell(r.max_holders)
+          .cell(t.observed_us(), 0)
+          .cell(t.zero_holder_dwell_us(), 1)
+          .cell(t.min_holders())
+          .cell(t.max_holders())
           .cell(r.handovers)
           .cell(r.rule_executions)
-          .cell(r.messages_sent);
+          .cell(r.frames_sent)
+          .cell(r.frames_rejected);
     }
   }
-
-  std::cout << table.render() << '\n';
-  std::cout << "paper expectation: ssrmin zero-holder samples = 0 with "
-               "holders in [1,2] (clean links; corruption behaves as loss, "
-               "so rare transients are tolerated there); dijkstra may show "
-               "zero-holder samples (its handover is not graceful).\n";
+  std::cout << udp_table.render() << '\n';
+  std::cout << "paper expectation: ssrmin zero-holder samples = 0 and zero "
+               "dwell = 0 with holders in [1,2] (clean links; corruption "
+               "behaves as loss, so rare transients are tolerated there); "
+               "dijkstra may show zero-holder samples (its handover is not "
+               "graceful).\n";
   return 0;
 }

@@ -322,11 +322,9 @@ Json FaultPlan::to_json() const {
   return out;
 }
 
-FaultPlan FaultPlan::with_legacy(double drop, double corrupt) const {
+FaultPlan FaultPlan::with_legacy(double drop) const {
   FaultPlan merged = *this;
   merged.probabilities.drop = probability_union(probabilities.drop, drop);
-  merged.probabilities.corrupt =
-      probability_union(probabilities.corrupt, corrupt);
   return merged;
 }
 

@@ -18,13 +18,13 @@
 //     partition along two cut edges, a node pause, and a node
 //     crash-restart with state reset.
 //
-// One plan is consumed by all three executors — ThreadedRing (real
-// threads), UdpSsrRing (real loopback sockets) and msgpass::CstSimulation
-// (deterministic virtual time) — so the same adversarial schedule can be
-// replayed against the paper's algorithm in every model. The legacy
-// RuntimeParams::loss_probability / UdpParams::drop_probability /
-// UdpParams::corruption_probability knobs survive as thin conveniences
-// that are folded into the plan's probabilities (probability union).
+// One plan is consumed by every executor — ThreadedRing (real threads),
+// MultiRingReactor (virtual clock or real loopback sockets) and
+// msgpass::CstSimulation (deterministic virtual time) — so the same
+// adversarial schedule can be replayed against the paper's algorithm in
+// every model. The legacy RuntimeParams::loss_probability knob survives as
+// a thin convenience that is folded into the plan's drop probability
+// (probability union).
 //
 // The textual spec format (FaultPlan::parse / FaultPlan::describe):
 //
@@ -125,10 +125,10 @@ struct FaultPlan {
 
   Json to_json() const;
 
-  /// Returns a copy of this plan with @p drop / @p corrupt folded into the
-  /// probabilistic faults via probability union (1 - (1-a)(1-b)). This is
-  /// how the legacy RuntimeParams / UdpParams knobs become plans.
-  FaultPlan with_legacy(double drop, double corrupt = 0.0) const;
+  /// Returns a copy of this plan with @p drop folded into its drop
+  /// probability via probability union (1 - (1-a)(1-b)). This is how the
+  /// legacy RuntimeParams::loss_probability knob becomes a plan.
+  FaultPlan with_legacy(double drop) const;
 };
 
 /// What the injector decided for one frame.

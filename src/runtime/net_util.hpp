@@ -1,14 +1,13 @@
-// Shared UDP socket plumbing for the message-passing runtimes (UdpSsrRing
-// and the MultiRingReactor): loopback addressing, explicit kernel buffer
-// sizing, and the SK_MEMINFO drop counter.
+// UDP socket plumbing for the MultiRingReactor's kUdp transport: loopback
+// addressing, explicit kernel buffer sizing, and the SK_MEMINFO drop
+// counter.
 //
-// Why explicit buffers: the runtimes previously ran on whatever
-// net.core.rmem_default happened to be, so a bursty ring silently lost
-// datagrams to receive-queue overflow and the loss was indistinguishable
-// from injected faults. Sizing the buffers explicitly makes the capacity a
-// stated part of the experiment, and SK_MEMINFO_DROPS makes the remaining
-// overflow *observable*: it is reported as kernel_rx_drops in telemetry
-// instead of vanishing.
+// Why explicit buffers: a socket left at net.core.rmem_default silently
+// loses a bursty ring's datagrams to receive-queue overflow, and that loss
+// cannot be told from injected faults. Sizing the buffers explicitly makes
+// the capacity a stated part of the experiment, and SK_MEMINFO_DROPS makes
+// the remaining overflow *observable*: it is reported as kernel_rx_drops in
+// telemetry instead of vanishing.
 #pragma once
 
 #include <arpa/inet.h>
@@ -27,12 +26,6 @@
 
 namespace ssr::runtime {
 
-/// Default kernel buffer request for ring sockets. 256 KiB holds ~16k
-/// minimal frames per direction — far beyond any burst a single ring
-/// produces, and small enough that even 64 multiplexed shard sockets stay
-/// in the low tens of MiB.
-inline constexpr int kDefaultSocketBuffer = 256 * 1024;
-
 inline sockaddr_in loopback_address(std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -44,8 +37,7 @@ inline sockaddr_in loopback_address(std::uint16_t port) {
 /// Requests explicit receive/send buffer sizes. The kernel may clamp to
 /// net.core.{r,w}mem_max (and doubles the value for bookkeeping); the
 /// point is that the capacity is *chosen*, not inherited.
-inline void set_socket_buffers(int fd, int rcvbuf = kDefaultSocketBuffer,
-                               int sndbuf = kDefaultSocketBuffer) {
+inline void set_socket_buffers(int fd, int rcvbuf, int sndbuf) {
   SSR_REQUIRE(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
                            sizeof(rcvbuf)) == 0,
               "failed to set SO_RCVBUF");
@@ -56,9 +48,8 @@ inline void set_socket_buffers(int fd, int rcvbuf = kDefaultSocketBuffer,
 
 /// Creates a UDP socket bound to an ephemeral loopback port with explicit
 /// buffers; returns the fd and writes the bound port to @p port.
-inline int make_loopback_udp_socket(std::uint16_t& port,
-                                    int rcvbuf = kDefaultSocketBuffer,
-                                    int sndbuf = kDefaultSocketBuffer) {
+inline int make_loopback_udp_socket(std::uint16_t& port, int rcvbuf,
+                                    int sndbuf) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   SSR_REQUIRE(fd >= 0, "failed to create UDP socket");
   set_socket_buffers(fd, rcvbuf, sndbuf);

@@ -143,10 +143,9 @@ struct MultiRingReactor::Shard {
   std::vector<std::uint64_t> repair_queue;
   std::size_t repair_head = 0;
 
-  // Rejections not attributable to a ring (bad CRC, unknown ring id).
+  // Rejections not attributable to a ring (bad CRC, wrong wire version,
+  // unknown ring id, empty or truncated datagrams).
   std::uint64_t rejected = 0;
-  // Checksum-valid frames of the wrong wire version (v1 at the reactor).
-  std::uint64_t wrong_version = 0;
   // sendmmsg failures (kernel send queue full); frames are dropped and
   // the refresh machinery repairs.
   std::uint64_t send_errors = 0;
@@ -169,6 +168,35 @@ struct MultiRingReactor::Shard {
   std::array<std::uint8_t, kSlotStride> held{};
   std::size_t held_size = 0;
   std::thread thread;
+
+  Shard() = default;
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
+  ~Shard() {
+    for (const int f : {fd, epoll_fd, event_fd}) {
+      if (f >= 0) ::close(f);
+    }
+  }
+
+  // Binds the shard's nonblocking loopback socket and its epoll set. Big
+  // buffers: one shard socket queues frames for thousands of rings.
+  void open_socket() {
+    fd = make_loopback_udp_socket(port, 4 * 1024 * 1024, 4 * 1024 * 1024);
+    set_nonblocking(fd);
+    self_addr = loopback_address(port);
+    epoll_fd = ::epoll_create1(0);
+    SSR_REQUIRE(epoll_fd >= 0, "epoll_create1 failed");
+    event_fd = ::eventfd(0, EFD_NONBLOCK);
+    SSR_REQUIRE(event_fd >= 0, "eventfd failed");
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    SSR_REQUIRE(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0,
+                "epoll_ctl(socket) failed");
+    ev.data.fd = event_fd;
+    SSR_REQUIRE(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, event_fd, &ev) == 0,
+                "epoll_ctl(eventfd) failed");
+  }
 
   std::size_t put_slot(wire::ByteView bytes) {
     std::size_t s = arena.size() / kSlotStride;
@@ -225,9 +253,34 @@ MultiRingReactor::MultiRingReactor(ReactorConfig config)
       ring_telemetry_.push_back(std::move(t));
     }
   }
+  // The virtual transport runs every ring on one shard: one wheel is what
+  // makes the event order globally deterministic.
+  const std::size_t nshards = config_.transport == ReactorTransport::kVirtual
+                                  ? 1
+                                  : std::min(config_.shards, config_.rings);
+  for (std::size_t s = 0; s < nshards; ++s) {
+    auto shard = std::make_unique<Shard>();
+    shard->id = s;
+    if (config_.transport == ReactorTransport::kUdp) shard->open_socket();
+    shards_.push_back(std::move(shard));
+  }
 }
 
 MultiRingReactor::~MultiRingReactor() = default;
+
+std::vector<std::uint16_t> MultiRingReactor::ports() const {
+  std::vector<std::uint16_t> out;
+  if (config_.transport == ReactorTransport::kUdp) {
+    for (const auto& shard : shards_) out.push_back(shard->port);
+  }
+  return out;
+}
+
+const Telemetry& MultiRingReactor::ring_telemetry(std::size_t ring) const {
+  SSR_REQUIRE(ring < ring_telemetry_.size(),
+              "ring telemetry needs per_ring_telemetry and a valid ring");
+  return *ring_telemetry_[ring];
+}
 
 // --- shared protocol plumbing --------------------------------------------
 
@@ -386,14 +439,9 @@ std::optional<std::size_t> MultiRingReactor::process_frame(
     ++shard.rejected;
     return std::nullopt;
   }
-  if (frame->version != wire::kVersion2) {
-    ++shard.wrong_version;
-    ++shard.rejected;
-    return std::nullopt;
-  }
-  if (frame->ring_id >= config_.rings ||
+  if (frame->version != wire::kVersion2 || frame->ring_id >= config_.rings ||
       frame->ring_id % shards_.size() != shard.id) {
-    ++shard.rejected;  // misrouted or garbage ring id
+    ++shard.rejected;  // v1, misrouted or garbage ring id
     return std::nullopt;
   }
   const auto ring = static_cast<std::size_t>(frame->ring_id);
@@ -438,17 +486,9 @@ std::optional<std::size_t> MultiRingReactor::process_frame(
 // --- virtual transport ----------------------------------------------------
 
 void MultiRingReactor::run_virtual(std::chrono::microseconds duration) {
-  shards_.clear();
-  shards_.push_back(std::make_unique<Shard>());
   Shard& shard = *shards_[0];
   const auto end = static_cast<std::uint64_t>(duration.count());
 
-  if (!ring_telemetry_.empty()) {
-    for (std::size_t r = 0; r < config_.rings; ++r) {
-      table_->holders(r, shard.holder_scratch);
-      ring_telemetry_[r]->observe(0.0, shard.holder_scratch);
-    }
-  }
   // Kick: every node broadcasts its initial state, staggered over the
   // first few hundred microseconds to spread the frame burst. The kick
   // also arms the ring's refresh timer.
@@ -618,8 +658,10 @@ void MultiRingReactor::udp_shard_main(Shard& shard,
       }
       const std::uint64_t rt = now_us();
       for (int m = 0; m < got; ++m) {
+        // A datagram longer than the buffer arrives cut to the buffer's
+        // size with MSG_TRUNC set; no frame is that long.
         const std::size_t len = messages[m].msg_len;
-        if (len == 0 || len > kRecvBuffer) {
+        if (len == 0 || (messages[m].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
           ++shard.rejected;
           continue;
         }
@@ -639,32 +681,6 @@ void MultiRingReactor::udp_shard_main(Shard& shard,
 }
 
 void MultiRingReactor::run_udp(std::chrono::microseconds duration) {
-  const std::size_t nshards = std::min(config_.shards, config_.rings);
-  shards_.clear();
-  for (std::size_t s = 0; s < nshards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->id = s;
-    // Big buffers: one shard socket queues frames for thousands of rings.
-    shard->fd = make_loopback_udp_socket(shard->port, 4 * 1024 * 1024,
-                                         4 * 1024 * 1024);
-    set_nonblocking(shard->fd);
-    shard->self_addr = loopback_address(shard->port);
-    shard->epoll_fd = ::epoll_create1(0);
-    SSR_REQUIRE(shard->epoll_fd >= 0, "epoll_create1 failed");
-    shard->event_fd = ::eventfd(0, EFD_NONBLOCK);
-    SSR_REQUIRE(shard->event_fd >= 0, "eventfd failed");
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = shard->fd;
-    SSR_REQUIRE(
-        ::epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, shard->fd, &ev) == 0,
-        "epoll_ctl(socket) failed");
-    ev.data.fd = shard->event_fd;
-    SSR_REQUIRE(::epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, shard->event_fd,
-                            &ev) == 0,
-                "epoll_ctl(eventfd) failed");
-    shards_.push_back(std::move(shard));
-  }
   stop_.store(false);
   const auto deadline = static_cast<std::uint64_t>(duration.count());
   for (auto& shard : shards_) {
@@ -677,10 +693,6 @@ void MultiRingReactor::run_udp(std::chrono::microseconds duration) {
   }
   for (auto& shard : shards_) {
     kernel_rx_drops_ += socket_kernel_drops(shard->fd);
-    ::close(shard->fd);
-    ::close(shard->epoll_fd);
-    ::close(shard->event_fd);
-    shard->fd = shard->epoll_fd = shard->event_fd = -1;
   }
 }
 
@@ -690,6 +702,12 @@ ReactorReport MultiRingReactor::run(std::chrono::microseconds duration) {
   SSR_REQUIRE(!ran_, "a MultiRingReactor instance runs once");
   ran_ = true;
   ran_duration_us_ = static_cast<double>(duration.count());
+  // Every ring's telemetry starts from its initial holder set at t = 0.
+  std::vector<bool> holders;
+  for (std::size_t r = 0; r < ring_telemetry_.size(); ++r) {
+    table_->holders(r, holders);
+    ring_telemetry_[r]->observe(0.0, holders);
+  }
   if (config_.transport == ReactorTransport::kVirtual) {
     run_virtual(duration);
   } else {
@@ -716,7 +734,6 @@ ReactorReport MultiRingReactor::make_report(double duration_us) {
     report.frames_corrupted += c.frames_corrupted;
     report.frames_received += c.frames_received;
     report.frames_rejected += c.frames_rejected;
-    report.send_errors += c.send_errors;
     report.rule_executions += c.rule_executions;
     report.crash_restarts += c.crash_restarts;
     report.refresh_broadcasts += c.refresh_broadcasts;

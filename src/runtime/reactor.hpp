@@ -1,17 +1,17 @@
 // MultiRingReactor: one event loop hosting hundreds of thousands of
 // independent self-stabilizing rings over a handful of shared UDP sockets.
 //
-// The single-ring runtimes burn a thread per *node* (UdpSsrRing: n threads
-// and n sockets for one ring). That topology caps an experiment at a few
-// dozen rings per machine. The reactor inverts it: rings are partitioned
-// across S shards (ring % S); each shard owns ONE nonblocking UDP socket,
-// an epoll instance, a hierarchical timer wheel and the dense RingTable
-// rows of its rings. All frames of a shard's rings travel through the
-// shard's socket as v2 wire frames (ring-id in the header, destination
-// node as the first payload varint), batched with recvmmsg/sendmmsg. Per
-// ring there are no threads, no sockets and no heap objects, and a frame
-// allocates nothing — just table rows, timer-wheel entries and reused
-// buffers — which is what makes 100k+ rings per process tractable.
+// A thread per *node* (ThreadedRing: n threads for one ring) caps an
+// experiment at a few dozen rings per machine. The reactor inverts that
+// topology: rings are partitioned across S shards (ring % S); each shard
+// owns ONE nonblocking UDP socket, an epoll instance, a hierarchical timer
+// wheel and the dense RingTable rows of its rings. All frames of a shard's
+// rings travel through the shard's socket as v2 wire frames (ring-id in the
+// header, destination node as the first payload varint), batched with
+// recvmmsg/sendmmsg. Per ring there are no threads, no sockets and no heap
+// objects, and a frame allocates nothing — just table rows, timer-wheel
+// entries and reused buffers — which is what makes 100k+ rings per process
+// tractable.
 //
 // Two transports share all of the protocol machinery:
 //
@@ -24,7 +24,9 @@
 //     arena. This is the transport of the reactor-10k benchmark workload.
 //   * kUdp — real loopback sockets, one shard thread per socket, epoll +
 //     recvmmsg/sendmmsg, wall-clock fault windows, SK_MEMINFO drop
-//     accounting. bench_multiring's socket rows run it.
+//     accounting. The sockets are bound at construction. bench_multiring's
+//     socket rows run it, and with rings = 1 it is the single-ring UDP
+//     runtime (test_udp, bench_runtime's E13 rows).
 //
 // Fault injection reuses PR 3's machinery unchanged: one read-only
 // FaultInjector decides per-frame fates (an empty plan consumes zero RNG
@@ -165,6 +167,12 @@ class MultiRingReactor {
 
   const RingTable& table() const { return *table_; }
   const ReactorConfig& config() const { return config_; }
+  /// kUdp: each shard socket's loopback port, so datagrams can be queued
+  /// at a shard before run(). Empty under kVirtual.
+  std::vector<std::uint16_t> ports() const;
+  /// @p ring's holder timeline (requires per_ring_telemetry), complete
+  /// once run() has returned.
+  const Telemetry& ring_telemetry(std::size_t ring) const;
 
   /// Per-ring telemetry export (requires per_ring_telemetry). Under the
   /// virtual transport this is a pure function of (config, seed) —

@@ -1,6 +1,6 @@
 // Dense per-ring state for the multi-ring reactor.
 //
-// The single-ring runtimes spend a thread (ThreadedRing, UdpSsrRing) or a
+// The single-ring runtimes spend a thread per node (ThreadedRing) or a
 // whole simulation object per ring. A RingTable instead packs the state of
 // every hosted ring — protocol kind, per-node local states, per-node
 // neighbor caches, holder bits, wire counters, fault bookkeeping and an
@@ -14,7 +14,7 @@
 // layouts. The protocol objects themselves (SsrMinRing &c.) are shared —
 // they are pure (n, K) pairs.
 //
-// The message-passing semantics mirror UdpSsrRing exactly: a node owns its
+// The message-passing semantics are Algorithm 4's (CST): a node owns its
 // local state plus cached neighbor states; a received frame updates the
 // cache and may enable a rule; a state change triggers a broadcast to both
 // neighbors; token holding is judged from the node's own (state, caches)
@@ -87,8 +87,8 @@ inline dijkstra::DualLocal unpack_dual(const NodeState& s) {
   return dijkstra::DualLocal{s.a, s.b};
 }
 
-/// Per-ring wire/rule counters (the multi-ring analogue of UdpStats;
-/// plain integers — each ring is owned by exactly one shard).
+/// Per-ring wire/rule counters (plain integers — each ring is owned by
+/// exactly one shard).
 struct RingCounters {
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_dropped = 0;
@@ -97,7 +97,6 @@ struct RingCounters {
   std::uint64_t frames_corrupted = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t frames_rejected = 0;
-  std::uint64_t send_errors = 0;
   std::uint64_t rule_executions = 0;
   std::uint64_t crash_restarts = 0;
   std::uint64_t refresh_broadcasts = 0;
@@ -120,7 +119,10 @@ class RingTable {
         ssr_(nodes, modulus),
         kstate_(nodes, modulus),
         dual_(nodes, modulus),
-        protocols_(std::move(protocols)) {
+        protocols_(std::move(protocols)),
+        ssr_scratch_(nodes),
+        kstate_scratch_(nodes),
+        dual_scratch_(nodes) {
     SSR_REQUIRE(num_rings_ >= 1, "need at least one ring");
     SSR_REQUIRE(n_ >= 3 && n_ <= 64,
                 "multi-ring nodes must be in [3, 64] (holder bitmask)");
@@ -340,8 +342,8 @@ class RingTable {
     return update_holder_with(ring, node, now_us, [](std::uint64_t) {});
   }
 
-  /// Token holding from the node's own (state, caches) view — the same
-  /// judgement UdpSsrRing publishes to its HolderBoard.
+  /// Token holding from the node's own (state, caches) view — what a
+  /// deployed node would compute.
   bool node_holds(std::size_t ring, std::size_t node) const {
     const std::size_t base = ring * n_;
     const NodeState& self = states_[base + node];
@@ -361,9 +363,9 @@ class RingTable {
     return false;
   }
 
-  /// Crash-restart with state reset (mirrors UdpSsrRing's crash handling):
-  /// wipes @p node's state and caches. The caller re-derives the holder
-  /// bit (update_holder) so the transition feeds its telemetry hooks.
+  /// Crash-restart with state reset: wipes @p node's state and caches.
+  /// The caller re-derives the holder bit (update_holder) so the
+  /// transition feeds its telemetry hooks.
   void crash_node(std::size_t ring, std::size_t node) {
     const std::size_t base = ring * n_;
     states_[base + node] = NodeState{};
@@ -373,31 +375,27 @@ class RingTable {
   }
 
   /// Ground-truth legitimacy of the ring's *actual* states (ignoring the
-  /// possibly-stale caches) — the re-stabilization check in tests.
+  /// possibly-stale caches) — the re-stabilization check in tests. The
+  /// configuration is unpacked into a scratch sized once, so a call
+  /// allocates nothing; calls must not run concurrently.
   bool is_legitimate(std::size_t ring) const {
     const std::size_t base = ring * n_;
     switch (protocols_[ring]) {
-      case RingProtocolKind::kSsrMin: {
-        core::SsrConfig config(n_);
+      case RingProtocolKind::kSsrMin:
         for (std::size_t i = 0; i < n_; ++i) {
-          config[i] = unpack_ssr(states_[base + i]);
+          ssr_scratch_[i] = unpack_ssr(states_[base + i]);
         }
-        return core::is_legitimate(ssr_, config);
-      }
-      case RingProtocolKind::kKState: {
-        dijkstra::KStateConfig config(n_);
+        return core::is_legitimate(ssr_, ssr_scratch_);
+      case RingProtocolKind::kKState:
         for (std::size_t i = 0; i < n_; ++i) {
-          config[i] = unpack_kstate(states_[base + i]);
+          kstate_scratch_[i] = unpack_kstate(states_[base + i]);
         }
-        return dijkstra::is_legitimate(kstate_, config);
-      }
-      case RingProtocolKind::kDual: {
-        dijkstra::DualConfig config(n_);
+        return dijkstra::is_legitimate(kstate_, kstate_scratch_);
+      case RingProtocolKind::kDual:
         for (std::size_t i = 0; i < n_; ++i) {
-          config[i] = unpack_dual(states_[base + i]);
+          dual_scratch_[i] = unpack_dual(states_[base + i]);
         }
-        return dijkstra::is_legitimate(dual_, config);
-      }
+        return dijkstra::is_legitimate(dual_, dual_scratch_);
     }
     return false;
   }
@@ -472,6 +470,10 @@ class RingTable {
   dijkstra::KStateRing kstate_;
   dijkstra::DualKStateRing dual_;
   std::vector<RingProtocolKind> protocols_;
+  // is_legitimate's configurations.
+  mutable core::SsrConfig ssr_scratch_;
+  mutable dijkstra::KStateConfig kstate_scratch_;
+  mutable dijkstra::DualConfig dual_scratch_;
   std::vector<NodeState> states_;
   std::vector<NodeState> cache_pred_;
   std::vector<NodeState> cache_succ_;

@@ -33,15 +33,9 @@ struct SamplerReport {
   std::uint64_t handovers = 0;
   /// Frames actually transmitted (injector drops excluded).
   std::uint64_t messages_sent = 0;
-  /// Frames the fault injector removed (probabilistic + scripted windows;
-  /// for wire-less runtimes this includes corruption, which a checksum
-  /// would turn into loss anyway).
+  /// Frames the fault injector removed (probabilistic + scripted windows,
+  /// and corruption, which a checksum would turn into loss anyway).
   std::uint64_t messages_lost = 0;
-  /// Receive-side rejects: checksum/parse failures, zero-length and
-  /// truncated datagrams (wire runtimes only).
-  std::uint64_t messages_rejected = 0;
-  /// Transmissions the kernel refused (UDP sendto() failures).
-  std::uint64_t send_errors = 0;
   std::uint64_t rule_executions = 0;
 };
 

@@ -143,10 +143,6 @@ Json Telemetry::to_json() const {
       j.set("frames_reordered", c.frames_reordered);
       j.set("frames_corrupted", c.frames_corrupted);
       j.set("frames_received", c.frames_received);
-      j.set("frames_rejected", c.frames_rejected);
-      j.set("frames_wrong_version", c.frames_wrong_version);
-      j.set("kernel_rx_drops", c.kernel_rx_drops);
-      j.set("send_errors", c.send_errors);
       j.set("rule_executions", c.rule_executions);
       j.set("crash_restarts", c.crash_restarts);
       nodes.push(std::move(j));

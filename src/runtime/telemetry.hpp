@@ -9,13 +9,14 @@
 // events. Fed from msgpass::CstSimulation (virtual time), the export is
 // bit-identical for a fixed seed and plan — pinned by the differential
 // test and by the checked-in BENCH_faults.json. Fed from the real
-// runtimes (ThreadedRing / UdpSsrRing), timestamps come from the wall
-// clock and the numbers are statistical, not reproducible.
+// runtimes (ThreadedRing, the reactor's kUdp transport), timestamps come
+// from the wall clock and the numbers are statistical, not reproducible.
 //
 // Threading: a Telemetry instance is NOT thread-safe; it is fed from one
-// sampler thread (real runtimes) or from the simulation loop (msgpass).
-// The runtimes accumulate per-node counters in their own atomics and copy
-// them in via set_node_counters() after the run.
+// sampler thread (ThreadedRing), from the shard that owns the ring (the
+// reactor) or from the simulation loop (msgpass). ThreadedRing accumulates
+// per-node counters in its own atomics and copies them in via
+// set_node_counters() after the run.
 #pragma once
 
 #include <cstdint>
@@ -28,24 +29,14 @@
 
 namespace ssr::runtime {
 
-/// Per-node wire and rule counters (filled by the real runtimes).
+/// Per-node message and rule counters (filled by ThreadedRing).
 struct NodeTelemetry {
   std::uint64_t frames_sent = 0;        ///< actually transmitted
   std::uint64_t frames_dropped = 0;     ///< dropped by the injector
   std::uint64_t frames_duplicated = 0;  ///< extra copies transmitted
   std::uint64_t frames_reordered = 0;   ///< held back for stale delivery
-  std::uint64_t frames_corrupted = 0;   ///< bit-flipped before transmit
-  std::uint64_t frames_received = 0;    ///< valid frames accepted
-  std::uint64_t frames_rejected = 0;    ///< parse/CRC/zero-length/truncated
-  /// Subset of frames_rejected: frames that parsed as a *newer* wire
-  /// version (e.g. v2 multiring frames hitting a v1 single-ring node).
-  /// Lets a mixed deployment distinguish misrouted traffic from noise.
-  std::uint64_t frames_wrong_version = 0;
-  /// Datagrams the kernel dropped on this node's receive queue for lack
-  /// of buffer space (SK_MEMINFO_DROPS) — loss that happened *before* the
-  /// runtime ever saw the frames.
-  std::uint64_t kernel_rx_drops = 0;
-  std::uint64_t send_errors = 0;        ///< kernel-rejected transmissions
+  std::uint64_t frames_corrupted = 0;   ///< corrupted, so dropped
+  std::uint64_t frames_received = 0;    ///< frames accepted
   std::uint64_t rule_executions = 0;
   std::uint64_t crash_restarts = 0;
 };

@@ -105,9 +105,8 @@ TEST(FaultPlan, ValidationCatchesBadRanges) {
 TEST(FaultPlan, WithLegacyIsProbabilityUnion) {
   FaultPlan plan;
   plan.probabilities.drop = 0.5;
-  const FaultPlan merged = plan.with_legacy(0.5, 0.25);
+  const FaultPlan merged = plan.with_legacy(0.5);
   EXPECT_DOUBLE_EQ(merged.probabilities.drop, 0.75);
-  EXPECT_DOUBLE_EQ(merged.probabilities.corrupt, 0.25);
   // Folding zeros changes nothing.
   const FaultPlan same = plan.with_legacy(0.0);
   EXPECT_DOUBLE_EQ(same.probabilities.drop, 0.5);

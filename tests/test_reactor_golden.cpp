@@ -13,7 +13,8 @@
 // the telemetry JSON.
 //
 // The same binary counts calls to the global operator new while the first
-// run executes: the virtual transport's per-frame path must not allocate.
+// run executes: the virtual transport's per-frame path must not allocate,
+// and neither may the end-of-run report per ring.
 //
 // On a mismatch the failure message shows the run's record in the same form
 // as the golden string. A change that is meant to alter trajectories
@@ -177,6 +178,25 @@ TEST(ReactorGolden, VirtualFramePathDoesNotAllocate) {
   EXPECT_LT(news * 100, report.frames_sent)
       << news << " calls to operator new for " << report.frames_sent
       << " frames sent";
+}
+
+// The end-of-run report judges every ring's legitimacy. That must not
+// allocate either: ten times the rings over the same run may not cost an
+// allocation per added ring.
+TEST(ReactorGolden, RunAllocationsDoNotGrowPerRing) {
+  const auto news_during_run = [](std::size_t rings) {
+    ReactorConfig config = small_reactor_10k();
+    config.rings = rings;
+    MultiRingReactor reactor(config);
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    reactor.run(milliseconds(10));
+    return g_news.load(std::memory_order_relaxed) - before;
+  };
+  const std::uint64_t small = news_during_run(300);
+  const std::uint64_t large = news_during_run(3000);
+  EXPECT_LT(large, small + (3000 - 300))
+      << large << " calls to operator new at 3000 rings against " << small
+      << " at 300";
 }
 
 }  // namespace

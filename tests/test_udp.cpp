@@ -1,7 +1,8 @@
-// Tests for the loopback-UDP runtime: real sockets, CRC-framed states,
-// graceful handover measured by the consistent sampler.
-#include "runtime/udp_ring.hpp"
-
+// Tests for the single-ring UDP runtime: one legitimate SSRmin ring of four
+// nodes on the multi-ring reactor's kUdp transport — real loopback sockets,
+// CRC-framed v2 states. Theorem 3 says such a ring always has 1 or 2 token
+// holders. The ring's Telemetry integrates every holder transition, so the
+// checks read exact zero-holder dwell and holder bounds, not samples.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -9,9 +10,12 @@
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
+#include <string>
+#include <vector>
 
-#include "core/legitimacy.hpp"
-#include "runtime/net_util.hpp"
+#include "runtime/fault_plan.hpp"
+#include "runtime/reactor.hpp"
 #include "wire/codec.hpp"
 
 namespace ssr::runtime {
@@ -19,267 +23,146 @@ namespace {
 
 using namespace std::chrono_literals;
 
-UdpParams fast_params(std::uint64_t seed = 1) {
-  UdpParams p;
-  p.refresh_interval = 1000us;
-  p.seed = seed;
-  return p;
+/// One legitimate SSRmin ring of four nodes on one UDP shard.
+ReactorConfig legit_ring(std::uint64_t seed, const std::string& plan = "") {
+  ReactorConfig config;
+  config.rings = 1;
+  config.nodes = 4;
+  config.protocol = RingProtocolKind::kSsrMin;
+  config.refresh_interval = 1000us;
+  config.seed = seed;
+  config.fault_plan = FaultPlan::parse(plan);
+  config.transport = ReactorTransport::kUdp;
+  config.start = RingStart::kLegitimate;
+  config.per_ring_telemetry = true;
+  return config;
 }
 
-TEST(UdpParams, Validation) {
-  UdpParams p = fast_params();
-  EXPECT_NO_THROW(p.validate());
-  p.refresh_interval = std::chrono::microseconds{0};
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p = fast_params();
-  p.corruption_probability = 1.0;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p = fast_params();
-  p.drop_probability = -0.1;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
+/// Theorem 3: no instant without a holder, never more than two.
+void expect_graceful(const Telemetry& t) {
+  EXPECT_EQ(t.zero_holder_dwell_us(), 0.0);
+  EXPECT_GE(t.min_holders(), 1u);
+  EXPECT_LE(t.max_holders(), 2u);
 }
 
-TEST(UdpRing, BindsDistinctLoopbackPorts) {
-  core::SsrMinRing ring(4, 5);
-  UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0), fast_params());
-  ASSERT_EQ(udp.ports().size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NE(udp.ports()[i], 0u);
-    for (std::size_t j = i + 1; j < 4; ++j) {
-      EXPECT_NE(udp.ports()[i], udp.ports()[j]);
-    }
-  }
-}
-
-TEST(UdpRing, RejectsSizeMismatch) {
-  core::SsrMinRing ring(4, 5);
-  EXPECT_THROW(UdpSsrRing(ring, core::SsrConfig(3), fast_params()),
-               std::invalid_argument);
+TEST(UdpRing, BindsShardSocketsAtConstruction) {
+  ReactorConfig config = legit_ring(1);
+  config.rings = 4;
+  config.shards = 2;
+  const MultiRingReactor reactor(config);
+  const std::vector<std::uint16_t> ports = reactor.ports();
+  ASSERT_EQ(ports.size(), 2u);
+  EXPECT_NE(ports[0], 0u);
+  EXPECT_NE(ports[1], 0u);
+  EXPECT_NE(ports[0], ports[1]);
+  config.transport = ReactorTransport::kVirtual;
+  EXPECT_TRUE(MultiRingReactor(config).ports().empty());
 }
 
 TEST(UdpRing, GracefulHandoverOverRealSockets) {
-  core::SsrMinRing ring(4, 5);
-  UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0), fast_params(3));
-  udp.start();
-  const SamplerReport report = udp.observe(500ms, 300us);
-  udp.stop();
-  EXPECT_GT(report.consistent_samples, 100u);
-  EXPECT_EQ(report.zero_holder_samples, 0u);
-  EXPECT_GE(report.min_holders, 1u);
-  EXPECT_LE(report.max_holders, 2u);
+  MultiRingReactor reactor(legit_ring(3));
+  const ReactorReport report = reactor.run(500ms);
+  expect_graceful(reactor.ring_telemetry(0));
   EXPECT_GT(report.rule_executions, 10u);
   EXPECT_GT(report.handovers, 0u);
+  EXPECT_EQ(report.frames_rejected, 0u);
+  // A ring has a handful of frames in flight, far below the socket buffer.
+  EXPECT_EQ(report.kernel_rx_drops, 0u);
+}
+
+// The timeline starts from the initial holder set at t = 0, not at the
+// first holder change: a blackout over the first 20 ms delays that change,
+// and the telemetry must still cover the whole run.
+TEST(UdpRing, TelemetryCoversTheWholeRun) {
+  MultiRingReactor reactor(legit_ring(5, "burst@0ms-20ms"));
+  const ReactorReport report = reactor.run(100ms);
+  const Telemetry& t = reactor.ring_telemetry(0);
+  EXPECT_GE(t.observed_us(), report.duration_us);
+  expect_graceful(t);
+  ASSERT_EQ(t.window_outcomes().size(), 1u);
+  EXPECT_TRUE(t.window_outcomes()[0].recovered);
 }
 
 TEST(UdpRing, CorruptedFramesAreRejectedNotApplied) {
-  core::SsrMinRing ring(4, 5);
-  UdpParams p = fast_params(7);
-  p.corruption_probability = 0.3;
-  UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0), p);
-  udp.start();
-  const SamplerReport report = udp.observe(500ms, 300us);
-  udp.stop();
-  const UdpStats stats = udp.stats();
+  MultiRingReactor reactor(legit_ring(7, "corrupt=0.3"));
+  const ReactorReport report = reactor.run(500ms);
   // Roughly 30% of frames were bit-flipped; the checksum must have caught
-  // (essentially) all of them, and the ring must still have made progress.
-  EXPECT_GT(stats.frames_rejected, 10u);
-  EXPECT_GT(stats.frames_received, 10u);
+  // them, and the ring must still have made progress.
+  EXPECT_GT(report.frames_rejected, 10u);
+  EXPECT_GT(report.frames_received, 10u);
   EXPECT_GT(report.rule_executions, 5u);
   // Corruption behaves as loss: brief stale-view windows are possible but
   // must be rare (Theorem 4 is eventual under loss).
-  ASSERT_GT(report.consistent_samples, 0u);
-  EXPECT_LT(static_cast<double>(report.zero_holder_samples),
-            0.05 * static_cast<double>(report.consistent_samples));
+  const Telemetry& t = reactor.ring_telemetry(0);
+  ASSERT_GT(t.observed_us(), 0.0);
+  EXPECT_LT(t.zero_holder_dwell_us(), 0.05 * t.observed_us());
 }
 
 TEST(UdpRing, SyntheticDropsAreCounted) {
-  core::SsrMinRing ring(4, 5);
-  UdpParams p = fast_params(9);
-  p.drop_probability = 0.25;
-  UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0), p);
-  udp.start();
-  udp.observe(300ms, 500us);
-  udp.stop();
-  const UdpStats stats = udp.stats();
-  EXPECT_GT(stats.frames_dropped, 5u);
-  EXPECT_GT(stats.rule_executions, 3u);
-  // The accounting is disjoint: frames_sent counts datagrams actually
-  // handed to the kernel, frames_dropped counts frames the injector ate
-  // before any syscall. Their sum is the attempt count, so the observed
-  // drop ratio must sit near the configured probability.
-  EXPECT_GT(stats.frames_sent, 0u);
+  MultiRingReactor reactor(legit_ring(9, "drop=0.25"));
+  const ReactorReport report = reactor.run(300ms);
+  EXPECT_GT(report.frames_dropped, 5u);
+  EXPECT_GT(report.rule_executions, 3u);
+  // The accounting is disjoint: frames_sent counts datagrams handed to the
+  // kernel, frames_dropped the frames the injector ate before any syscall.
+  // Their sum is the attempt count, so the observed drop ratio must sit
+  // near the configured probability.
+  ASSERT_GT(report.frames_sent, 0u);
   const double attempts =
-      static_cast<double>(stats.frames_sent + stats.frames_dropped);
-  const double ratio = static_cast<double>(stats.frames_dropped) / attempts;
-  EXPECT_NEAR(ratio, 0.25, 0.12);
+      static_cast<double>(report.frames_sent + report.frames_dropped);
+  EXPECT_NEAR(static_cast<double>(report.frames_dropped) / attempts, 0.25,
+              0.12);
 }
 
-TEST(UdpRing, RestartCycleRunsCleanly) {
-  core::SsrMinRing ring(4, 5);
-  UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0), fast_params(13));
-  udp.start();
-  const SamplerReport first = udp.observe(200ms, 500us);
-  udp.stop();
-  // Restart on the same sockets: stale in-flight datagrams from the first
-  // cycle are drained, so the second cycle starts from the coherent
-  // initial configuration and the handover guarantee holds again.
-  udp.start();
-  const SamplerReport second = udp.observe(200ms, 500us);
-  udp.stop();
-  EXPECT_GT(first.consistent_samples, 50u);
-  EXPECT_GT(second.consistent_samples, 50u);
-  EXPECT_EQ(second.zero_holder_samples, 0u);
-  EXPECT_GE(second.min_holders, 1u);
-  EXPECT_GE(second.messages_sent, first.messages_sent);  // counters accumulate
+TEST(UdpRing, BurstWindowRecovers) {
+  MultiRingReactor reactor(legit_ring(17, "burst@40ms-90ms"));
+  const ReactorReport report = reactor.run(250ms);
+  EXPECT_GT(report.frames_dropped, 5u);  // the burst actually dropped frames
+  const Telemetry& t = reactor.ring_telemetry(0);
+  ASSERT_EQ(t.window_outcomes().size(), 1u);
+  EXPECT_TRUE(t.window_outcomes()[0].recovered);
+  ASSERT_GT(t.observed_us(), 0.0);
+  EXPECT_LT(t.zero_holder_dwell_us(), 0.05 * t.observed_us());
 }
 
+// Datagrams queued at the shard before run(): empty, longer than the
+// receive buffer (MSG_TRUNC), CRC garbage, a checksum-valid v1 frame, and a
+// v2 frame for a ring the reactor does not host. Each one is counted as
+// rejected, and none of them perturbs the ring.
 TEST(UdpRing, HostileDatagramsAreRejectedNotApplied) {
-  core::SsrMinRing ring(4, 5);
-  UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0), fast_params(15));
-  udp.start();
-  udp.observe(50ms, 500us);
-  const std::uint64_t rejected_before = udp.stats().frames_rejected;
-
-  // An outside socket lobs malformed datagrams at node 0's port: empty
-  // payloads (recv() == 0, historically confused with a closed stream),
-  // oversized payloads (> the receive buffer, detected via MSG_TRUNC),
-  // and well-sized garbage that fails the frame CRC.
+  MultiRingReactor reactor(legit_ring(15));
   const int attacker = ::socket(AF_INET, SOCK_DGRAM, 0);
   ASSERT_GE(attacker, 0);
   sockaddr_in dst{};
   dst.sin_family = AF_INET;
-  dst.sin_port = htons(udp.ports()[0]);
+  dst.sin_port = htons(reactor.ports().at(0));
   dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  std::array<std::uint8_t, 600> oversized{};
+  const std::array<std::uint8_t, 600> oversized{};
   std::array<std::uint8_t, 32> garbage{};
   for (std::size_t i = 0; i < garbage.size(); ++i) {
     garbage[i] = static_cast<std::uint8_t>(0xA5u ^ i);
   }
-  for (int i = 0; i < 20; ++i) {
-    ::sendto(attacker, nullptr, 0, 0, reinterpret_cast<sockaddr*>(&dst),
-             sizeof(dst));
-    ::sendto(attacker, oversized.data(), oversized.size(), 0,
-             reinterpret_cast<sockaddr*>(&dst), sizeof(dst));
-    ::sendto(attacker, garbage.data(), garbage.size(), 0,
-             reinterpret_cast<sockaddr*>(&dst), sizeof(dst));
+  const wire::Bytes state = wire::encode_state(core::SsrState{1, true, false});
+  const wire::Bytes v1 = wire::encode_frame(3, state);
+  const wire::Bytes unknown_ring = wire::encode_frame_v2(12345, 3, state);
+  const std::array<wire::ByteView, 5> hostile = {
+      wire::ByteView{}, oversized, garbage, v1, unknown_ring};
+  constexpr std::size_t kRounds = 20;
+  for (std::size_t i = 0; i < kRounds; ++i) {
+    for (const wire::ByteView datagram : hostile) {
+      ASSERT_EQ(::sendto(attacker, datagram.data(), datagram.size(), 0,
+                         reinterpret_cast<sockaddr*>(&dst), sizeof(dst)),
+                static_cast<ssize_t>(datagram.size()));
+    }
   }
-  const SamplerReport report = udp.observe(200ms, 500us);
-  udp.stop();
   ::close(attacker);
 
-  const UdpStats stats = udp.stats();
-  EXPECT_GT(stats.frames_rejected, rejected_before)
+  const ReactorReport report = reactor.run(300ms);
+  EXPECT_EQ(report.frames_rejected, kRounds * hostile.size())
       << "malformed datagrams must be counted, not silently swallowed";
-  // None of it perturbed the protocol: the ring kept its holders.
-  EXPECT_GT(report.consistent_samples, 50u);
-  EXPECT_EQ(report.zero_holder_samples, 0u);
-  EXPECT_GE(report.min_holders, 1u);
-}
-
-TEST(UdpRing, V2FramesAreToleratedAndCountedByName) {
-  // A v2 (multiring) frame arriving at a v1 single-ring node must be
-  // rejected — the node has no ring table — but counted as wrong_version,
-  // distinct from CRC noise, and must not perturb the protocol.
-  core::SsrMinRing ring(4, 5);
-  UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0), fast_params(21));
-  udp.start();
-  udp.observe(50ms, 500us);
-
-  const int outsider = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(outsider, 0);
-  sockaddr_in dst{};
-  dst.sin_family = AF_INET;
-  dst.sin_port = htons(udp.ports()[0]);
-  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  // Checksum-valid v2 frames carrying a plausible SSR state payload.
-  const wire::Bytes payload = wire::encode_state(core::SsrState{1, true, false});
-  const wire::Bytes v2 = wire::encode_frame_v2(12345, 3, payload);
-  for (int i = 0; i < 25; ++i) {
-    ::sendto(outsider, v2.data(), v2.size(), 0,
-             reinterpret_cast<sockaddr*>(&dst), sizeof(dst));
-  }
-  const SamplerReport report = udp.observe(200ms, 500us);
-  udp.stop();
-  ::close(outsider);
-
-  const UdpStats stats = udp.stats();
-  EXPECT_GT(stats.frames_wrong_version, 0u)
-      << "v2 frames must be counted by name";
-  EXPECT_GE(stats.frames_rejected, stats.frames_wrong_version)
-      << "wrong_version is a subset of rejected";
-  EXPECT_GT(report.consistent_samples, 50u);
-  EXPECT_EQ(report.zero_holder_samples, 0u);
-  EXPECT_GE(report.min_holders, 1u);
-}
-
-TEST(UdpRing, ExplicitKernelBuffersAndDropCounter) {
-  core::SsrMinRing ring(4, 5);
-  UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0), fast_params(23));
-  // The ring owns its fds, so probe the buffer policy through a socket
-  // built by the same helper (the kernel reports back twice the request,
-  // possibly clamped to rmem_max — either way it must be nonzero).
-  std::uint16_t port = 0;
-  const int fd = make_loopback_udp_socket(port);
-  int rcv = 0;
-  socklen_t len = sizeof(rcv);
-  ASSERT_EQ(::getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcv, &len), 0);
-  EXPECT_GT(rcv, 0);
-  ::close(fd);
-  // A quiescent ring has no kernel receive-queue overflow.
-  EXPECT_EQ(udp.stats().kernel_rx_drops, 0u);
-  // Telemetry plumbs the per-node counter through.
-  Telemetry telemetry(4);
-  udp.fill_node_telemetry(telemetry);
-  const std::string json = telemetry.to_json_string();
-  EXPECT_NE(json.find("kernel_rx_drops"), std::string::npos);
-  EXPECT_NE(json.find("frames_wrong_version"), std::string::npos);
-}
-
-TEST(UdpRing, FaultPlanBurstWindowKeepsAHolder) {
-  core::SsrMinRing ring(4, 5);
-  UdpParams p = fast_params(17);
-  p.fault_plan = FaultPlan::parse("burst@40ms-90ms");
-  UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0), p);
-  Telemetry telemetry(4);
-  telemetry.set_context("udp", "ssrmin", 17);
-  udp.start();
-  const SamplerReport report = udp.observe(250ms, 500us, &telemetry);
-  udp.stop();
-  const UdpStats stats = udp.stats();
-  EXPECT_GT(stats.frames_dropped, 5u);  // the burst actually dropped frames
-  // Theorem 3 through the blackout, modulo the stale-view caveat shared
-  // with the loss tests: zero-holder views must be rare, and the telemetry
-  // window must register a recovery.
-  ASSERT_GT(report.consistent_samples, 0u);
-  EXPECT_LT(static_cast<double>(report.zero_holder_samples),
-            0.05 * static_cast<double>(report.consistent_samples));
-  ASSERT_EQ(telemetry.window_outcomes().size(), 1u);
-  EXPECT_TRUE(telemetry.window_outcomes()[0].recovered);
-}
-
-TEST(UdpRing, InitialSnapshotBeforeStart) {
-  core::SsrMinRing ring(4, 5);
-  UdpSsrRing udp(ring, core::canonical_legitimate(ring, 2), fast_params());
-  const HolderSnapshot snap = udp.sample();
-  EXPECT_TRUE(snap.consistent);
-  std::size_t holders = 0;
-  for (bool b : snap.holders)
-    if (b) ++holders;
-  EXPECT_EQ(holders, 1u);  // P0 holds both tokens in the canonical start
-  const UdpStats stats = udp.stats();
-  EXPECT_EQ(stats.frames_sent, 0u);
-  EXPECT_EQ(stats.rule_executions, 0u);
-}
-
-TEST(UdpRing, StartStopIdempotentAndRestartable) {
-  core::SsrMinRing ring(4, 5);
-  UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0), fast_params());
-  udp.start();
-  udp.start();
-  std::this_thread::sleep_for(30ms);
-  udp.stop();
-  udp.stop();
-  SUCCEED();
+  expect_graceful(reactor.ring_telemetry(0));
+  EXPECT_GT(report.rule_executions, 10u);
+  EXPECT_GT(report.handovers, 0u);
 }
 
 }  // namespace

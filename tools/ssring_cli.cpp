@@ -51,12 +51,6 @@
 //       Run the real-thread runtime under a fault plan and report holder
 //       coverage; optionally export the telemetry JSON ('-' = stdout).
 //
-//   ssring run-udp      [--n N] [--k K] [--seed X] [--duration-ms D]
-//                       [--interval-us I] [--refresh-us R] [--drop P]
-//                       [--corrupt P] [--fault-plan SPEC]
-//                       [--telemetry-json F]
-//       Same over loopback UDP sockets with CRC-framed wire messages.
-//
 //   ssring run-multi    [--rings R] [--n N] [--k K] [--seed X]
 //                       [--protocol ssrmin|dijkstra|dual|mixed]
 //                       [--shards S] [--transport virtual|udp]
@@ -67,6 +61,8 @@
 //       wire frames over shared sockets). The virtual transport is
 //       seeded-deterministic; --telemetry-json exports per-ring PR-3
 //       telemetry ('-' = stdout). Exits 0 iff every ring ends legitimate.
+//       One SSRmin ring over loopback UDP sockets with CRC-framed wire
+//       messages: --rings 1 --transport udp --start legit.
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -86,7 +82,6 @@
 #include "runtime/factories.hpp"
 #include "runtime/reactor.hpp"
 #include "runtime/telemetry.hpp"
-#include "runtime/udp_ring.hpp"
 #include "sim/batch_dispatch.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/sweep.hpp"
@@ -529,35 +524,6 @@ int cmd_tail(int argc, char** argv) {
   return 0;
 }
 
-/// Shared option parsing for the two runtime commands.
-struct RuntimeRunArgs {
-  std::size_t n = 0;
-  std::uint32_t k = 0;
-  std::uint64_t seed = 1;
-  std::chrono::milliseconds duration{400};
-  std::chrono::microseconds interval{200};
-  std::chrono::microseconds refresh{1000};
-  runtime::FaultPlan plan;
-  std::string telemetry_path;  // empty = none, "-" = stdout
-};
-
-RuntimeRunArgs parse_runtime_args(int argc, char** argv,
-                                  const char* default_refresh_us) {
-  RuntimeRunArgs a;
-  a.n = arg_n(argc, argv, "5");
-  a.k = arg_k(argc, argv, a.n);
-  a.seed = arg_seed(argc, argv);
-  a.duration = std::chrono::milliseconds(
-      std::atoll(value_of(argc, argv, "--duration-ms", "400")));
-  a.interval = std::chrono::microseconds(
-      std::atoll(value_of(argc, argv, "--interval-us", "200")));
-  a.refresh = std::chrono::microseconds(
-      std::atoll(value_of(argc, argv, "--refresh-us", default_refresh_us)));
-  a.plan = runtime::FaultPlan::parse(value_of(argc, argv, "--fault-plan", ""));
-  a.telemetry_path = value_of(argc, argv, "--telemetry-json", "");
-  return a;
-}
-
 int write_telemetry(const std::string& path,
                     const runtime::Telemetry& telemetry) {
   if (path.empty()) return 0;
@@ -578,8 +544,7 @@ int write_telemetry(const std::string& path,
 
 void print_runtime_report(const runtime::SamplerReport& r) {
   TextTable table({"samples", "consistent", "zero-holder", "min", "max",
-                   "handovers", "sent", "lost", "rejected", "send errors",
-                   "rules"});
+                   "handovers", "sent", "lost", "rules"});
   table.row()
       .cell(r.samples)
       .cell(r.consistent_samples)
@@ -589,66 +554,51 @@ void print_runtime_report(const runtime::SamplerReport& r) {
       .cell(r.handovers)
       .cell(r.messages_sent)
       .cell(r.messages_lost)
-      .cell(r.messages_rejected)
-      .cell(r.send_errors)
       .cell(r.rule_executions);
   std::cout << table.render();
 }
 
 int cmd_run_threaded(int argc, char** argv) {
-  const RuntimeRunArgs a = parse_runtime_args(argc, argv, "1000");
+  const std::size_t n = arg_n(argc, argv, "5");
+  const std::uint32_t k = arg_k(argc, argv, n);
+  const std::uint64_t seed = arg_seed(argc, argv);
+  const auto duration = std::chrono::milliseconds(
+      std::atoll(value_of(argc, argv, "--duration-ms", "400")));
+  const auto interval = std::chrono::microseconds(
+      std::atoll(value_of(argc, argv, "--interval-us", "200")));
   const std::string algo = value_of(argc, argv, "--algo", "ssrmin");
   runtime::RuntimeParams params;
-  params.refresh_interval = a.refresh;
+  params.refresh_interval = std::chrono::microseconds(
+      std::atoll(value_of(argc, argv, "--refresh-us", "1000")));
   params.loss_probability = std::atof(value_of(argc, argv, "--loss", "0"));
-  params.seed = a.seed;
-  params.fault_plan = a.plan;
+  params.seed = seed;
+  params.fault_plan =
+      runtime::FaultPlan::parse(value_of(argc, argv, "--fault-plan", ""));
 
-  runtime::Telemetry telemetry(a.n);
-  telemetry.set_context("threaded", algo, a.seed);
+  runtime::Telemetry telemetry(n);
+  telemetry.set_context("threaded", algo, seed);
   runtime::SamplerReport report;
   if (algo == "ssrmin") {
-    const core::SsrMinRing ring(a.n, a.k);
+    const core::SsrMinRing ring(n, k);
     auto rt = runtime::make_ssrmin_threaded(
         ring, core::canonical_legitimate(ring, 0), params);
     rt->start();
-    report = rt->observe(a.duration, a.interval, &telemetry);
+    report = rt->observe(duration, interval, &telemetry);
     rt->stop();
   } else if (algo == "dijkstra") {
-    const dijkstra::KStateRing ring(a.n, a.k);
-    auto rt = runtime::make_kstate_threaded(
-        ring, dijkstra::KStateConfig(a.n), params);
+    const dijkstra::KStateRing ring(n, k);
+    auto rt = runtime::make_kstate_threaded(ring, dijkstra::KStateConfig(n),
+                                            params);
     rt->start();
-    report = rt->observe(a.duration, a.interval, &telemetry);
+    report = rt->observe(duration, interval, &telemetry);
     rt->stop();
   } else {
     std::cerr << "unknown --algo: " << algo << '\n';
     return 2;
   }
   print_runtime_report(report);
-  return write_telemetry(a.telemetry_path, telemetry);
-}
-
-int cmd_run_udp(int argc, char** argv) {
-  const RuntimeRunArgs a = parse_runtime_args(argc, argv, "2000");
-  runtime::UdpParams params;
-  params.refresh_interval = a.refresh;
-  params.drop_probability = std::atof(value_of(argc, argv, "--drop", "0"));
-  params.corruption_probability =
-      std::atof(value_of(argc, argv, "--corrupt", "0"));
-  params.seed = a.seed;
-  params.fault_plan = a.plan;
-
-  const core::SsrMinRing ring(a.n, a.k);
-  runtime::UdpSsrRing rt(ring, core::canonical_legitimate(ring, 0), params);
-  runtime::Telemetry telemetry(a.n);
-  telemetry.set_context("udp", "ssrmin", a.seed);
-  rt.start();
-  const runtime::SamplerReport report =
-      rt.observe(a.duration, a.interval, &telemetry);
-  rt.stop();
-  print_runtime_report(report);
-  return write_telemetry(a.telemetry_path, telemetry);
+  return write_telemetry(value_of(argc, argv, "--telemetry-json", ""),
+                         telemetry);
 }
 
 int cmd_run_multi(int argc, char** argv) {
@@ -764,7 +714,6 @@ void usage() {
          "  perturb    exhaustive single-fault recovery analysis\n"
          "  tail       delay-variance stress on the handover (E22)\n"
          "  run-threaded  real-thread runtime under a --fault-plan\n"
-         "  run-udp    loopback-UDP runtime under a --fault-plan\n"
          "  run-multi  epoll-multiplexed multi-ring reactor (--rings N\n"
          "             --protocol ssrmin|dijkstra|dual|mixed --shards S\n"
          "             --transport virtual|udp --fault-plan SPEC\n"
@@ -793,7 +742,6 @@ int main(int argc, char** argv) {
     if (cmd == "perturb") return cmd_perturb(argc, argv);
     if (cmd == "tail") return cmd_tail(argc, argv);
     if (cmd == "run-threaded") return cmd_run_threaded(argc, argv);
-    if (cmd == "run-udp") return cmd_run_udp(argc, argv);
     if (cmd == "run-multi") return cmd_run_multi(argc, argv);
     if (cmd == "--help" || cmd == "-h" || cmd == "help") {
       usage();
