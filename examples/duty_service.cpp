@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
   std::this_thread::sleep_for(std::chrono::milliseconds(millis / 2));
   std::printf("  !! injecting a transient fault at node 1 !!\n");
   service.corrupt(1);
-  const auto coverage = service.observe(
-      std::chrono::milliseconds(millis / 2), 300us);
+  const runtime::Telemetry coverage =
+      service.observe(std::chrono::milliseconds(millis / 2));
   service.stop();
 
   const incl::DutyStats stats = service.stats();
@@ -47,8 +47,9 @@ int main(int argc, char** argv) {
                 1000.0 * stats.duty_seconds[i],
                 static_cast<unsigned long long>(stats.activations[i]));
   }
-  std::printf("coverage: %llu consistent samples, %llu with zero holders\n",
-              static_cast<unsigned long long>(coverage.consistent_samples),
-              static_cast<unsigned long long>(coverage.zero_holder_samples));
+  std::printf("coverage after the fault: %.0f us observed, %.0f us with "
+              "zero holders, %zu..%zu on duty\n",
+              coverage.observed_us(), coverage.zero_holder_dwell_us(),
+              coverage.min_holders(), coverage.max_holders());
   return 0;
 }

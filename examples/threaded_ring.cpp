@@ -1,7 +1,7 @@
-// SSRmin on real threads: one thread per node, channels as links, live
-// prints of every activation/deactivation, and a sampler verifying that
-// some node is active at every consistent snapshot — the graceful
-// handover, physically.
+// SSRmin on real threads: one thread per node, latest-value mailboxes as
+// links, live prints of every activation/deactivation, and a record of
+// every holder transition showing that some node is active at every
+// instant — the graceful handover, physically.
 //
 // Usage: ./examples/threaded_ring [nodes] [milliseconds]
 #include <atomic>
@@ -45,21 +45,22 @@ int main(int argc, char** argv) {
 
   std::printf("starting %zu camera nodes (one thread each)...\n\n", nodes);
   tr->start();
-  const runtime::SamplerReport report =
-      tr->observe(std::chrono::milliseconds(millis), 200us);
+  const runtime::Telemetry t = tr->observe(std::chrono::milliseconds(millis));
   tr->stop();
+  const runtime::NodeTelemetry total = t.node_totals();
 
   std::printf("\n--- %d ms of real-time operation ---\n", millis);
   std::printf("activation events        : %d\n", events.load());
-  std::printf("consistent snapshots     : %llu\n",
-              static_cast<unsigned long long>(report.consistent_samples));
-  std::printf("snapshots with 0 holders : %llu  (graceful handover says 0)\n",
-              static_cast<unsigned long long>(report.zero_holder_samples));
+  std::printf("holder transitions       : %llu\n",
+              static_cast<unsigned long long>(t.handovers()));
+  std::printf("us with 0 holders        : %.0f of %.0f  (graceful handover "
+              "says 0)\n",
+              t.zero_holder_dwell_us(), t.observed_us());
   std::printf("holders observed         : %zu..%zu  (Theorem 1 band: 1..2)\n",
-              report.min_holders, report.max_holders);
+              t.min_holders(), t.max_holders());
   std::printf("messages sent            : %llu\n",
-              static_cast<unsigned long long>(report.messages_sent));
+              static_cast<unsigned long long>(total.frames_sent));
   std::printf("protocol rules executed  : %llu\n",
-              static_cast<unsigned long long>(report.rule_executions));
-  return report.zero_holder_samples == 0 ? 0 : 1;
+              static_cast<unsigned long long>(total.rule_executions));
+  return t.zero_holder_dwell_us() == 0.0 ? 0 : 1;
 }

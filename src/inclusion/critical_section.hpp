@@ -37,7 +37,7 @@ class SpecMonitor {
 
   const CriticalSectionSpec& spec() const { return spec_; }
 
-  /// Point observation (e.g. one sampler snapshot).
+  /// Point observation (e.g. one snapshot of the holder count).
   void observe(std::size_t in_cs);
 
   /// Time-weighted observation: the system had @p in_cs processes in the

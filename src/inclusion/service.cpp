@@ -100,10 +100,9 @@ DutyStats DutyService::stats() const {
   return out;
 }
 
-runtime::SamplerReport DutyService::observe(
-    std::chrono::milliseconds duration, std::chrono::microseconds interval) {
+runtime::Telemetry DutyService::observe(std::chrono::milliseconds duration) {
   SSR_REQUIRE(running_, "call start() before observe()");
-  return ring_->observe(duration, interval);
+  return ring_->observe(duration);
 }
 
 void DutyService::corrupt(std::size_t node) {

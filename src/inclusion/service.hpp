@@ -63,9 +63,9 @@ class DutyService {
   /// "now").
   DutyStats stats() const;
 
-  /// Underlying sampler (coverage measurements); see ThreadedRing.
-  runtime::SamplerReport observe(std::chrono::milliseconds duration,
-                                 std::chrono::microseconds interval);
+  /// Coverage over the next @p duration: the exact holder timeline of the
+  /// underlying ring; see ThreadedRing::observe.
+  runtime::Telemetry observe(std::chrono::milliseconds duration);
 
   /// Transient-fault injection on a node.
   void corrupt(std::size_t node);

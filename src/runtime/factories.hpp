@@ -11,7 +11,7 @@
 namespace ssr::runtime {
 
 /// SSRmin on real threads — the graceful-handover runtime (Theorem 3's
-/// guarantee holds for consistent sampler snapshots).
+/// guarantee holds for the exact holder timeline observe() records).
 std::unique_ptr<ThreadedRing<core::SsrMinRing>> make_ssrmin_threaded(
     const core::SsrMinRing& ring, core::SsrConfig initial,
     RuntimeParams params);

@@ -134,10 +134,6 @@ FaultWindow parse_window(const std::string& item, FaultWindow::Kind kind,
   return w;
 }
 
-double probability_union(double a, double b) {
-  return 1.0 - (1.0 - a) * (1.0 - b);
-}
-
 }  // namespace
 
 const char* to_string(FaultWindow::Kind kind) {
@@ -320,12 +316,6 @@ Json FaultPlan::to_json() const {
   out.set("probabilities", std::move(probs));
   out.set("windows", std::move(ws));
   return out;
-}
-
-FaultPlan FaultPlan::with_legacy(double drop) const {
-  FaultPlan merged = *this;
-  merged.probabilities.drop = probability_union(probabilities.drop, drop);
-  return merged;
 }
 
 FaultInjector::FaultInjector(FaultPlan plan, std::size_t n)

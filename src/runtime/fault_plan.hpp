@@ -22,9 +22,7 @@
 // MultiRingReactor (virtual clock or real loopback sockets) and
 // msgpass::CstSimulation (deterministic virtual time) — so the same
 // adversarial schedule can be replayed against the paper's algorithm in
-// every model. The legacy RuntimeParams::loss_probability knob survives as
-// a thin convenience that is folded into the plan's drop probability
-// (probability union).
+// every model.
 //
 // The textual spec format (FaultPlan::parse / FaultPlan::describe):
 //
@@ -124,11 +122,6 @@ struct FaultPlan {
   std::string describe() const;
 
   Json to_json() const;
-
-  /// Returns a copy of this plan with @p drop folded into its drop
-  /// probability via probability union (1 - (1-a)(1-b)). This is how the
-  /// legacy RuntimeParams::loss_probability knob becomes a plan.
-  FaultPlan with_legacy(double drop) const;
 };
 
 /// What the injector decided for one frame.

@@ -1,7 +1,6 @@
 #include "runtime/reactor.hpp"
 
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -131,7 +130,7 @@ struct MultiRingReactor::Shard {
   std::size_t id = 0;
   TimerWheel wheel;
   LatencyHistogram latency;
-  std::vector<std::uint64_t> fired;        // advance_to scratch
+  std::vector<TimerWheel::Expiry> fired;   // advance_to scratch
   std::vector<bool> holder_scratch;        // Telemetry::observe scratch
   std::vector<std::uint32_t> rebroadcast;  // process_frame scratch
   wire::Bytes payload;                     // broadcast_node scratch
@@ -140,7 +139,7 @@ struct MultiRingReactor::Shard {
   // Budgeted repair queue (kUdp): timer fires are drained here and
   // processed a few per loop iteration, so a thundering herd of stalled
   // rings cannot starve the receive path with repair broadcasts.
-  std::vector<std::uint64_t> repair_queue;
+  std::vector<TimerWheel::Expiry> repair_queue;
   std::size_t repair_head = 0;
 
   // Rejections not attributable to a ring (bad CRC, wrong wire version,
@@ -159,7 +158,6 @@ struct MultiRingReactor::Shard {
   // --- udp transport ----------------------------------------------------
   int fd = -1;
   int epoll_fd = -1;
-  int event_fd = -1;
   std::uint16_t port = 0;
   sockaddr_in self_addr{};
   wire::Bytes send_arena;
@@ -173,7 +171,7 @@ struct MultiRingReactor::Shard {
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
   ~Shard() {
-    for (const int f : {fd, epoll_fd, event_fd}) {
+    for (const int f : {fd, epoll_fd}) {
       if (f >= 0) ::close(f);
     }
   }
@@ -186,16 +184,11 @@ struct MultiRingReactor::Shard {
     self_addr = loopback_address(port);
     epoll_fd = ::epoll_create1(0);
     SSR_REQUIRE(epoll_fd >= 0, "epoll_create1 failed");
-    event_fd = ::eventfd(0, EFD_NONBLOCK);
-    SSR_REQUIRE(event_fd >= 0, "eventfd failed");
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
     SSR_REQUIRE(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0,
                 "epoll_ctl(socket) failed");
-    ev.data.fd = event_fd;
-    SSR_REQUIRE(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, event_fd, &ev) == 0,
-                "epoll_ctl(eventfd) failed");
   }
 
   std::size_t put_slot(wire::ByteView bytes) {
@@ -334,13 +327,17 @@ void MultiRingReactor::fire_kick(Shard& shard, std::size_t ring,
 }
 
 void MultiRingReactor::fire_refresh(Shard& shard, std::size_t ring,
+                                    std::uint64_t due_us,
                                     std::uint64_t now_us) {
   check_scripted_faults(ring, now_us);
   const auto base =
       static_cast<std::uint64_t>(config_.refresh_interval.count());
   const std::uint64_t idle_since = table_->last_activity_us(ring);
   const std::uint64_t interval = base << refresh_backoff_[ring];
-  if (now_us >= idle_since + interval) {
+  // Idleness is judged at the time the timer was due, not when it fired:
+  // under kUdp it fires up to a loop iteration late, and an answer that
+  // arrived in between shows a live ring, not a stalled one.
+  if (due_us >= idle_since + interval) {
     // Still idle after a whole (backed-off) interval: rebroadcast and
     // double the next one — a stalled ring must not flood a congested
     // loop with repair traffic it cannot absorb yet.
@@ -500,16 +497,16 @@ void MultiRingReactor::run_virtual(std::chrono::microseconds duration) {
       shard.fired.clear();
       shard.wheel.advance_to(t, shard.fired);
       if (shard.fired.empty()) break;
-      for (const std::uint64_t cookie : shard.fired) {
-        const std::uint64_t kind = cookie & 3;
-        const std::size_t value = static_cast<std::size_t>(cookie >> 2);
+      for (const TimerWheel::Expiry& timer : shard.fired) {
+        const std::uint64_t kind = timer.cookie & 3;
+        const std::size_t value = static_cast<std::size_t>(timer.cookie >> 2);
         switch (kind) {
           case kCookieKick: {
             fire_kick(shard, value, t);
             break;
           }
           case kCookieRefresh: {
-            fire_refresh(shard, value, t);
+            fire_refresh(shard, value, timer.deadline, t);
             break;
           }
           default: {  // kCookieDelivery
@@ -599,29 +596,26 @@ void MultiRingReactor::udp_shard_main(Shard& shard,
                             kick_cookie(r));
   }
 
-  epoll_event events[4];
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const std::uint64_t t = now_us();
-    if (t >= deadline_us) break;
+  epoll_event event{};
+  for (std::uint64_t t = now_us(); t < deadline_us; t = now_us()) {
     // Drain due timers into the repair queue, then serve only a budget of
     // them this iteration: repair (kick/refresh) broadcasts are paced at
     // the rate the loop actually absorbs, instead of a thundering herd of
     // stalled rings monopolizing the CPU that receives need.
     shard.fired.clear();
     shard.wheel.advance_to(t, shard.fired);
-    for (const std::uint64_t cookie : shard.fired) {
-      shard.repair_queue.push_back(cookie);
-    }
+    shard.repair_queue.insert(shard.repair_queue.end(), shard.fired.begin(),
+                              shard.fired.end());
     constexpr std::size_t kRepairBudget = 16;
     for (std::size_t served = 0;
          served < kRepairBudget && shard.repair_head < shard.repair_queue.size();
          ++served) {
-      const std::uint64_t cookie = shard.repair_queue[shard.repair_head++];
-      const std::size_t r = static_cast<std::size_t>(cookie >> 2);
-      if ((cookie & 3) == kCookieKick) {
+      const TimerWheel::Expiry timer = shard.repair_queue[shard.repair_head++];
+      const std::size_t r = static_cast<std::size_t>(timer.cookie >> 2);
+      if ((timer.cookie & 3) == kCookieKick) {
         fire_kick(shard, r, t);
       } else {
-        fire_refresh(shard, r, t);
+        fire_refresh(shard, r, timer.deadline, t);
       }
     }
     if (shard.repair_head >= shard.repair_queue.size()) {
@@ -632,22 +626,12 @@ void MultiRingReactor::udp_shard_main(Shard& shard,
 
     const bool repairs_pending = shard.repair_head < shard.repair_queue.size();
     const int ready =
-        ::epoll_wait(shard.epoll_fd, events, 4, repairs_pending ? 0 : 1);
+        ::epoll_wait(shard.epoll_fd, &event, 1, repairs_pending ? 0 : 1);
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    bool socket_ready = false;
-    for (int e = 0; e < ready; ++e) {
-      if (events[e].data.fd == shard.event_fd) {
-        std::uint64_t tick = 0;
-        [[maybe_unused]] const ssize_t got =
-            ::read(shard.event_fd, &tick, sizeof(tick));
-      } else if (events[e].data.fd == shard.fd) {
-        socket_ready = true;
-      }
-    }
-    if (!socket_ready) continue;
+    if (ready == 0) continue;  // the socket is the only registered fd
     // Drain in bounded rounds so timers keep firing under load.
     for (int round = 0; round < 8; ++round) {
       const int got =
@@ -681,7 +665,6 @@ void MultiRingReactor::udp_shard_main(Shard& shard,
 }
 
 void MultiRingReactor::run_udp(std::chrono::microseconds duration) {
-  stop_.store(false);
   const auto deadline = static_cast<std::uint64_t>(duration.count());
   for (auto& shard : shards_) {
     Shard* s = shard.get();

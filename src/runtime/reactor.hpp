@@ -31,11 +31,10 @@
 // Fault injection reuses PR 3's machinery unchanged: one read-only
 // FaultInjector decides per-frame fates (an empty plan consumes zero RNG
 // draws), per-ring crash windows are tracked with a bitmask per ring, and
-// per-ring Telemetry objects (optional) ingest holder transitions exactly
-// like the single-ring samplers feed them.
+// per-ring Telemetry objects (optional) ingest every holder transition, as
+// ThreadedRing's observation windows do.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -187,7 +186,9 @@ class MultiRingReactor {
   void udp_shard_main(Shard& shard, std::uint64_t deadline_us);
   void check_scripted_faults(std::size_t ring, std::uint64_t now_us);
   void fire_kick(Shard& shard, std::size_t ring, std::uint64_t now_us);
-  void fire_refresh(Shard& shard, std::size_t ring, std::uint64_t now_us);
+  /// Handles @p ring's refresh timer, due at @p due_us, firing at @p now_us.
+  void fire_refresh(Shard& shard, std::size_t ring, std::uint64_t due_us,
+                    std::uint64_t now_us);
   /// Decodes one received frame and applies it to its ring. Returns the
   /// ring, whose nodes listed in the shard's rebroadcast scratch changed
   /// state and must broadcast; nullopt when the frame names no ring of
@@ -210,7 +211,6 @@ class MultiRingReactor {
   /// it. Shard-partitioned access (ring % shards), no synchronization.
   std::vector<std::uint8_t> refresh_backoff_;
   LatencyHistogram latency_;
-  std::atomic<bool> stop_{false};
   bool ran_ = false;
   double ran_duration_us_ = 0.0;
   std::uint64_t kernel_rx_drops_ = 0;

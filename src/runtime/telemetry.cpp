@@ -80,6 +80,21 @@ void Telemetry::set_node_counters(std::vector<NodeTelemetry> counters) {
   node_counters_ = std::move(counters);
 }
 
+NodeTelemetry Telemetry::node_totals() const {
+  NodeTelemetry total;
+  for (const NodeTelemetry& c : node_counters_) {
+    total.frames_sent += c.frames_sent;
+    total.frames_dropped += c.frames_dropped;
+    total.frames_duplicated += c.frames_duplicated;
+    total.frames_reordered += c.frames_reordered;
+    total.frames_corrupted += c.frames_corrupted;
+    total.frames_received += c.frames_received;
+    total.rule_executions += c.rule_executions;
+    total.crash_restarts += c.crash_restarts;
+  }
+  return total;
+}
+
 void Telemetry::set_aggregates(std::uint64_t messages_sent,
                                std::uint64_t messages_lost,
                                std::uint64_t deliveries,

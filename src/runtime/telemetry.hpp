@@ -5,6 +5,9 @@
 // with 0/1/2/... token holders), zero-holder dwell time and interval
 // count, handover count, and a per-fault-window time-to-recover.
 //
+// Every feeder reports every holder transition, so the histogram and the
+// zero-holder dwell are exact, not sampled.
+//
 // Determinism contract: to_json() is a pure function of the ingested
 // events. Fed from msgpass::CstSimulation (virtual time), the export is
 // bit-identical for a fixed seed and plan — pinned by the differential
@@ -12,11 +15,11 @@
 // runtimes (ThreadedRing, the reactor's kUdp transport), timestamps come
 // from the wall clock and the numbers are statistical, not reproducible.
 //
-// Threading: a Telemetry instance is NOT thread-safe; it is fed from one
-// sampler thread (ThreadedRing), from the shard that owns the ring (the
-// reactor) or from the simulation loop (msgpass). ThreadedRing accumulates
-// per-node counters in its own atomics and copies them in via
-// set_node_counters() after the run.
+// Threading: a Telemetry instance is NOT thread-safe; its feeder
+// serializes the calls: ThreadedRing's node threads under its holder
+// mutex, the shard that owns the ring (the reactor) or the simulation
+// loop (msgpass). ThreadedRing accumulates per-node counters in its own
+// atomics and copies them in via set_node_counters() after the window.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +63,9 @@ class Telemetry {
   void finish(double t_us);
 
   void set_node_counters(std::vector<NodeTelemetry> counters);
+  /// The per-node counters summed over the ring (zero without
+  /// set_node_counters()).
+  NodeTelemetry node_totals() const;
   /// Aggregate wire counters (used by the simulator consumer, which has
   /// no per-node breakdown).
   void set_aggregates(std::uint64_t messages_sent, std::uint64_t messages_lost,

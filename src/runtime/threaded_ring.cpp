@@ -6,8 +6,6 @@ namespace ssr::runtime {
 
 void RuntimeParams::validate() const {
   SSR_REQUIRE(refresh_interval.count() > 0, "refresh interval must be positive");
-  SSR_REQUIRE(loss_probability >= 0.0 && loss_probability < 1.0,
-              "loss probability must be in [0, 1)");
 }
 
 std::unique_ptr<ThreadedRing<core::SsrMinRing>> make_ssrmin_threaded(

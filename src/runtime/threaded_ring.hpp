@@ -9,23 +9,26 @@
 //  * each node's protocol state and caches are owned exclusively by its
 //    thread — never shared;
 //  * cross-thread communication is only (a) latest-value mailboxes and
-//    (b) a seqlocked per-node "holds a token" bit board (HolderBoard)
-//    used for consistent snapshots;
+//    (b) the holder vector — one "holds a token" bit per node — kept under
+//    one mutex together with the Telemetry of the running observe()
+//    window. A node that flips its bit records the new holder set into
+//    that Telemetry inside the lock, reading the clock there too, so the
+//    window integrates every holder transition exactly, in order;
 //  * a node publishes its token bit *before* sending the state update that
 //    could cause a neighbor to act on it. This ordering is what makes
-//    SSRmin's graceful-handover guarantee hold for real samplers: the old
-//    holder only clears its bit after observing an acknowledgment whose
-//    sender had already set its own bit.
+//    SSRmin's graceful-handover guarantee hold for the recorded holder
+//    set: the old holder only clears its bit after observing an
+//    acknowledgment whose sender had already set its own bit.
 //
-// Fault injection: a runtime::FaultPlan (RuntimeParams::fault_plan; the
-// legacy loss_probability knob folds into it) drives both probabilistic
-// per-message faults and scripted windows. Corruption has no wire layer to
-// flip bits in here — a checksummed radio turns corruption into loss
-// (Lemma 9's model), so a corrupted message is counted and dropped.
-// Reordering is implemented at the sender: the message is held back and
-// delivered *after* the next message on the same link, so the receiver
-// genuinely observes a stale state overwrite a fresh one — exactly the
-// hazard the latest-value-mailbox design note below warns about.
+// Fault injection: a runtime::FaultPlan (RuntimeParams::fault_plan) drives
+// both probabilistic per-message faults and scripted windows. Corruption
+// has no wire layer to flip bits in here — a checksummed radio turns
+// corruption into loss (Lemma 9's model), so a corrupted message is
+// counted and dropped. Reordering is implemented at the sender: the
+// message is held back and delivered *after* the next message on the same
+// link, so the receiver genuinely observes a stale state overwrite a fresh
+// one — exactly the hazard the latest-value-mailbox design note below
+// warns about.
 //
 // Why latest-value mailboxes and not FIFO queues: CST messages carry the
 // sender's *whole state*, so a receiver loses nothing by only ever seeing
@@ -45,7 +48,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -53,8 +55,6 @@
 #include <utility>
 #include <vector>
 #include "runtime/fault_plan.hpp"
-#include "runtime/holder_board.hpp"
-#include "runtime/sampler.hpp"
 #include "runtime/telemetry.hpp"
 #include "stabilizing/protocol.hpp"
 #include "util/assert.hpp"
@@ -66,9 +66,6 @@ struct RuntimeParams {
   /// CST refresh period: a node with a silent inbox rebroadcasts its state
   /// this often.
   std::chrono::microseconds refresh_interval{1000};
-  /// Convenience knob: probability that a single message transmission is
-  /// dropped. Folded into fault_plan (probability union) at construction.
-  double loss_probability = 0.0;
   /// Seed for the per-node fault/jitter generators.
   std::uint64_t seed = 1;
   /// Full fault schedule (see runtime/fault_plan.hpp). Window times count
@@ -76,10 +73,6 @@ struct RuntimeParams {
   FaultPlan fault_plan;
 
   void validate() const;
-  /// fault_plan with loss_probability folded in.
-  FaultPlan effective_plan() const {
-    return fault_plan.with_legacy(loss_probability);
-  }
 };
 
 template <stab::RingProtocol P>
@@ -98,17 +91,14 @@ class ThreadedRing {
         params_(params),
         token_(std::move(token)),
         initial_(std::move(initial)),
-        board_(initial_.size() > 0 ? initial_.size() : 1),
-        injector_(params_.effective_plan(), initial_.size() > 1 ? initial_.size() : 2) {
+        holders_(initial_.size()),
+        injector_(params_.fault_plan, initial_.size() > 1 ? initial_.size() : 2) {
     params_.validate();
     SSR_REQUIRE(initial_.size() == protocol_.size(),
                 "configuration size must equal ring size");
     for (std::size_t i = 0; i < initial_.size(); ++i) {
       nodes_.push_back(std::make_unique<NodeShared>());
     }
-    // Publish the initial (coherent) holder bits from the constructor so a
-    // sampler never observes a bogus startup window.
-    publish_initial_holders();
   }
 
   ~ThreadedRing() { stop(); }
@@ -158,42 +148,32 @@ class ThreadedRing {
     nodes_[i]->inbox.post_corrupt(std::move(s));
   }
 
-  /// Consistent holder snapshot (seqlocked; see HolderBoard).
-  HolderSnapshot sample(int max_retries = 64) const {
-    return board_.sample(max_retries);
-  }
-
-  /// Samples the holder bits every @p interval for @p duration and
-  /// aggregates coverage statistics. Runs on the caller's thread. When
-  /// @p telemetry is given, the holder timeline, fault windows and
-  /// per-node counters are recorded into it (wall-clock timestamps on the
-  /// injector's fault clock).
-  SamplerReport observe(std::chrono::milliseconds duration,
-                        std::chrono::microseconds interval,
-                        Telemetry* telemetry = nullptr) {
+  /// Records every holder transition for @p duration and returns that
+  /// window's Telemetry: the exact holder timeline (wall-clock times on
+  /// the injector's fault clock), the fault windows' recovery and the
+  /// per-node counters, which count from construction. Blocks the caller
+  /// for @p duration.
+  Telemetry observe(std::chrono::milliseconds duration) {
     SSR_REQUIRE(running_, "call start() before observe()");
-    if (telemetry != nullptr) telemetry->set_plan(injector_.plan());
-    SamplerReport report = sample_holders(
-        [this] { return sample(); }, [this] { return now_us(); }, duration,
-        interval, telemetry);
-    report.messages_sent = sum_counter(&PerNodeCounters::sent);
-    report.messages_lost = sum_counter(&PerNodeCounters::dropped) +
-                           sum_counter(&PerNodeCounters::corrupted);
-    report.rule_executions = sum_counter(&PerNodeCounters::rules);
-    if (telemetry != nullptr) fill_node_telemetry(*telemetry);
-    return report;
+    Telemetry telemetry(nodes_.size());
+    telemetry.set_plan(injector_.plan());
+    {
+      std::lock_guard lock(holder_mutex_);
+      SSR_REQUIRE(window_ == nullptr, "one observe() window at a time");
+      telemetry.observe(now_us(), holders_);
+      window_ = &telemetry;
+    }
+    std::this_thread::sleep_for(duration);
+    {
+      std::lock_guard lock(holder_mutex_);
+      window_ = nullptr;
+      telemetry.finish(now_us());
+    }
+    fill_node_telemetry(telemetry);
+    return telemetry;
   }
 
-  std::uint64_t rule_executions() const {
-    return sum_counter(&PerNodeCounters::rules);
-  }
-
-  std::uint64_t crash_restarts() const {
-    return sum_counter(&PerNodeCounters::crashes);
-  }
-
-  const FaultPlan& fault_plan() const { return injector_.plan(); }
-
+ private:
   /// Copies the per-node counters into @p telemetry.
   void fill_node_telemetry(Telemetry& telemetry) const {
     std::vector<NodeTelemetry> counters(nodes_.size());
@@ -212,7 +192,6 @@ class ThreadedRing {
     telemetry.set_node_counters(std::move(counters));
   }
 
- private:
   /// Latest-value mailbox: one slot per neighbor direction plus a fault-
   /// injection slot. A single mutex guards all slots so a reader that
   /// observes one neighbor's update also observes every update that
@@ -277,7 +256,7 @@ class ThreadedRing {
   };
 
   /// Per-node fault/wire counters; written only by the owning node thread,
-  /// read by the sampler. Cache-line aligned to avoid false sharing on the
+  /// read by observe(). Cache-line aligned to avoid false sharing on the
   /// hot send path.
   struct alignas(64) PerNodeCounters {
     std::atomic<std::uint64_t> sent{0};
@@ -301,23 +280,13 @@ class ThreadedRing {
         .count();
   }
 
-  std::uint64_t sum_counter(
-      std::atomic<std::uint64_t> PerNodeCounters::* member) const {
-    std::uint64_t total = 0;
-    for (const auto& node : nodes_) {
-      total += (node->counters.*member).load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
   void publish_initial_holders() {
     const std::size_t n = initial_.size();
-    board_.publish_batch([&](auto&& set) {
-      for (std::size_t i = 0; i < n; ++i) {
-        set(i, token_(i, initial_[i], initial_[stab::pred_index(i, n)],
-                      initial_[stab::succ_index(i, n)]));
-      }
-    });
+    std::lock_guard lock(holder_mutex_);
+    for (std::size_t i = 0; i < n; ++i) {
+      holders_[i] = token_(i, initial_[i], initial_[stab::pred_index(i, n)],
+                           initial_[stab::succ_index(i, n)]);
+    }
   }
 
   void node_main(std::size_t i, std::uint64_t seed, std::stop_token st) {
@@ -342,11 +311,14 @@ class ThreadedRing {
 
     auto publish = [&] {
       const bool h = token_(i, self, cache_pred, cache_succ);
-      if (h != holding) {
-        board_.publish(i, h);
-        holding = h;
-        if (activation_) activation_(i, h);
+      if (h == holding) return;
+      holding = h;
+      {
+        std::lock_guard lock(holder_mutex_);
+        holders_[i] = h;
+        if (window_ != nullptr) window_->observe(now_us(), holders_);
       }
+      if (activation_) activation_(i, h);
     };
     auto send_to = [&](std::size_t target, bool as_pred,
                        std::optional<State>& held) {
@@ -429,6 +401,11 @@ class ThreadedRing {
         cache_succ = *got_succ;
         counters.received.fetch_add(1, std::memory_order_relaxed);
       }
+      // The token can arrive with the update. Publish the gain before the
+      // rule runs: a Dijkstra-style rule consumes the token it enables, so
+      // publishing only afterwards would never show a holder (the
+      // reactor's RingTable::deliver does the same).
+      publish();
       const int rule =
           protocol_.enabled_rule(i, self, cache_pred, cache_succ);
       if (rule != stab::kDisabled) {
@@ -453,7 +430,11 @@ class ThreadedRing {
   bool running_ = false;
   std::chrono::steady_clock::time_point epoch_{};
 
-  HolderBoard board_;
+  /// Each node's token bit, and the running observe() window's Telemetry
+  /// (null outside a window); both guarded by holder_mutex_.
+  std::mutex holder_mutex_;
+  std::vector<bool> holders_;
+  Telemetry* window_ = nullptr;
   FaultInjector injector_;
 };
 

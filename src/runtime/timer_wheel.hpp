@@ -37,7 +37,8 @@
 
 namespace ssr::runtime {
 
-/// Hierarchical timer wheel returning a user cookie (uint64) per expiry.
+/// Hierarchical timer wheel returning a user cookie (uint64) and the due
+/// tick per expiry.
 ///
 /// The reactor packs (ring index or frame slot, timer kind) into the
 /// cookie, so firing needs no map lookup.
@@ -69,10 +70,16 @@ class TimerWheel {
     schedule_at(now_ + delay, cookie);
   }
 
+  /// An expired timer: the tick it was due at and its cookie.
+  struct Expiry {
+    std::uint64_t deadline = 0;
+    std::uint64_t cookie = 0;
+  };
+
   /// Advances the wheel to @p tick (inclusive), appending every expired
-  /// cookie to @p fired in deterministic order: by deadline, then by
+  /// timer to @p fired in deterministic order: by deadline, then by
   /// schedule order within a deadline.
-  void advance_to(std::uint64_t tick, std::vector<std::uint64_t>& fired) {
+  void advance_to(std::uint64_t tick, std::vector<Expiry>& fired) {
     while (now_ <= tick) {
       drain_due(fired);
       if (now_ == tick) break;
@@ -136,7 +143,7 @@ class TimerWheel {
   /// Direct placement appends in id order, but a cascade can append a
   /// coarse-born entry *after* a directly-scheduled one with the same
   /// deadline; only then are the due entries sorted by id.
-  void drain_due(std::vector<std::uint64_t>& fired) {
+  void drain_due(std::vector<Expiry>& fired) {
     std::vector<Entry>& slot = slots_[slot_index(0, now_)];
     if (slot.empty()) return;
     due_.clear();
@@ -153,7 +160,9 @@ class TimerWheel {
     if (!std::is_sorted(due_.begin(), due_.end(), by_id)) {
       std::sort(due_.begin(), due_.end(), by_id);
     }
-    for (const Entry& entry : due_) fired.push_back(entry.cookie);
+    for (const Entry& entry : due_) {
+      fired.push_back({entry.deadline, entry.cookie});
+    }
     if (slot.empty()) spare_.push_back(std::exchange(slot, {}));
   }
 

@@ -102,16 +102,6 @@ TEST(FaultPlan, ValidationCatchesBadRanges) {
       FaultPlan::parse("partition@100ms-200ms:cut=0/2").validate(4));
 }
 
-TEST(FaultPlan, WithLegacyIsProbabilityUnion) {
-  FaultPlan plan;
-  plan.probabilities.drop = 0.5;
-  const FaultPlan merged = plan.with_legacy(0.5);
-  EXPECT_DOUBLE_EQ(merged.probabilities.drop, 0.75);
-  // Folding zeros changes nothing.
-  const FaultPlan same = plan.with_legacy(0.0);
-  EXPECT_DOUBLE_EQ(same.probabilities.drop, 0.5);
-}
-
 TEST(FaultInjector, EmptyPlanConsumesNoRandomness) {
   FaultInjector injector(FaultPlan{}, 4);
   Rng a(42);

@@ -63,12 +63,15 @@ TEST(DutyService, DutyIsSharedAcrossNodes) {
 TEST(DutyService, CoverageNeverZero) {
   DutyService service(small_params(7), nullptr);
   service.start();
-  const auto report = service.observe(300ms, 200us);
+  const runtime::Telemetry coverage = service.observe(300ms);
   service.stop();
-  EXPECT_GT(report.consistent_samples, 50u);
-  EXPECT_EQ(report.zero_holder_samples, 0u);
-  EXPECT_GE(report.min_holders, 1u);
-  EXPECT_LE(report.max_holders, 2u);
+  // Every holder transition is recorded: not one microsecond without a
+  // node on duty, never more than two.
+  EXPECT_GE(coverage.observed_us(), 300'000.0);
+  EXPECT_EQ(coverage.zero_holder_dwell_us(), 0.0);
+  EXPECT_GE(coverage.min_holders(), 1u);
+  EXPECT_LE(coverage.max_holders(), 2u);
+  EXPECT_GT(coverage.handovers(), 10u);
 }
 
 TEST(DutyService, SurvivesCorruption) {
@@ -99,7 +102,7 @@ TEST(DutyService, StatsSnapshotIncludesOpenPeriods) {
 
 TEST(DutyService, ObserveRequiresRunning) {
   DutyService service(small_params(), nullptr);
-  EXPECT_THROW(service.observe(10ms, 1ms), std::invalid_argument);
+  EXPECT_THROW(service.observe(10ms), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the real-thread runtime: SSRmin's graceful-handover guarantee
-// must survive contact with actual concurrency — consistent sampler
-// snapshots taken while node threads run never see zero token holders.
+// must survive contact with actual concurrency. observe() records every
+// holder transition the node threads make, so a clean SSRmin window must
+// read exactly zero microseconds without a holder.
 // (Kept short and small-n: this suite runs on minimal CI hardware.)
 #include "runtime/threaded_ring.hpp"
 
@@ -17,9 +18,15 @@ using namespace std::chrono_literals;
 RuntimeParams fast_params(std::uint64_t seed = 1) {
   RuntimeParams p;
   p.refresh_interval = 500us;
-  p.loss_probability = 0.0;
   p.seed = seed;
   return p;
+}
+
+/// Theorem 3: no instant without a holder, never more than two.
+void expect_graceful(const Telemetry& t) {
+  EXPECT_EQ(t.zero_holder_dwell_us(), 0.0);
+  EXPECT_GE(t.min_holders(), 1u);
+  EXPECT_LE(t.max_holders(), 2u);
 }
 
 TEST(RuntimeParams, Validation) {
@@ -27,9 +34,13 @@ TEST(RuntimeParams, Validation) {
   EXPECT_NO_THROW(p.validate());
   p.refresh_interval = std::chrono::microseconds{0};
   EXPECT_THROW(p.validate(), std::invalid_argument);
+  // Loss is the fault plan's drop probability, and the plan rejects
+  // certain loss when the ring builds its injector.
+  core::SsrMinRing ring(4, 5);
   p = fast_params();
-  p.loss_probability = 1.0;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p.fault_plan.probabilities.drop = 1.0;
+  EXPECT_THROW(make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0), p),
+               std::invalid_argument);
 }
 
 TEST(ThreadedRing, RejectsSizeMismatch) {
@@ -38,17 +49,17 @@ TEST(ThreadedRing, RejectsSizeMismatch) {
                std::invalid_argument);
 }
 
-TEST(ThreadedRing, InitialSnapshotShowsOneHolder) {
+TEST(ThreadedRing, WindowStartsFromTheInitialHolders) {
+  // start() publishes the coherent initial holder set, so a window opened
+  // at once shows no startup gap.
   core::SsrMinRing ring(4, 5);
   auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0),
                                  fast_params());
-  // Before start(): the constructor published the coherent initial bits.
-  const HolderSnapshot snap = tr->sample();
-  EXPECT_TRUE(snap.consistent);
-  std::size_t holders = 0;
-  for (bool b : snap.holders)
-    if (b) ++holders;
-  EXPECT_EQ(holders, 1u);  // P0 holds both tokens
+  EXPECT_THROW(tr->observe(1ms), std::invalid_argument);  // not started
+  tr->start();
+  const Telemetry t = tr->observe(5ms);
+  tr->stop();
+  expect_graceful(t);
 }
 
 TEST(ThreadedRing, GracefulHandoverNeverZeroHolders) {
@@ -56,36 +67,33 @@ TEST(ThreadedRing, GracefulHandoverNeverZeroHolders) {
   auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0),
                                  fast_params(3));
   tr->start();
-  const SamplerReport report = tr->observe(400ms, 200us);
+  const Telemetry t = tr->observe(400ms);
   tr->stop();
-  EXPECT_GT(report.consistent_samples, 100u);
-  EXPECT_EQ(report.zero_holder_samples, 0u)
-      << "a consistent snapshot observed zero token holders";
-  EXPECT_GE(report.min_holders, 1u);
-  EXPECT_LE(report.max_holders, 2u);
+  EXPECT_GE(t.observed_us(), 400'000.0);
+  expect_graceful(t);
   // The ring actually ran: rules executed and the token moved.
-  EXPECT_GT(report.rule_executions, 10u);
-  EXPECT_GT(report.handovers, 0u);
-  EXPECT_GT(report.messages_sent, 0u);
+  const NodeTelemetry total = t.node_totals();
+  EXPECT_GT(total.rule_executions, 10u);
+  EXPECT_GT(t.handovers(), 0u);
+  EXPECT_GT(total.frames_sent, 0u);
 }
 
 TEST(ThreadedRing, SurvivesMessageLoss) {
   core::SsrMinRing ring(4, 5);
   RuntimeParams p = fast_params(5);
-  p.loss_probability = 0.2;
+  p.fault_plan = FaultPlan::parse("drop=0.2");
   auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0), p);
   tr->start();
-  const SamplerReport report = tr->observe(400ms, 200us);
+  const Telemetry t = tr->observe(400ms);
   tr->stop();
-  EXPECT_GT(report.messages_lost, 0u);
-  EXPECT_GT(report.rule_executions, 5u);
+  EXPECT_GT(t.node_totals().frames_dropped, 0u);
+  EXPECT_GT(t.node_totals().rule_executions, 5u);
   // With loss, a node whose freshest view of its successor was dropped can
   // transiently act on a stale acknowledgment, so brief zero windows are
   // possible until the refresh repairs the cache (Theorem 4 is an
   // eventual guarantee under loss, not an invariant). They must be rare.
-  ASSERT_GT(report.consistent_samples, 0u);
-  EXPECT_LT(static_cast<double>(report.zero_holder_samples),
-            0.05 * static_cast<double>(report.consistent_samples));
+  ASSERT_GT(t.observed_us(), 0.0);
+  EXPECT_LT(t.zero_holder_dwell_us(), 0.05 * t.observed_us());
 }
 
 TEST(ThreadedRing, RecoversAfterCorruption) {
@@ -93,19 +101,20 @@ TEST(ThreadedRing, RecoversAfterCorruption) {
   auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0),
                                  fast_params(7));
   tr->start();
-  tr->observe(100ms, 500us);
+  const Telemetry before = tr->observe(100ms);
   // Transient fault: scramble node 2 completely.
   tr->corrupt(2, core::SsrState{4, true, true});
-  // The system keeps running and keeps making progress afterwards.
-  const std::uint64_t before = tr->rule_executions();
-  const SamplerReport after = tr->observe(300ms, 500us);
+  const Telemetry after = tr->observe(300ms);
   tr->stop();
-  EXPECT_GT(tr->rule_executions(), before);
-  EXPECT_GT(after.consistent_samples, 50u);
-  // Self-stabilization: by the end of the window the holder count is back
-  // within the mutual-inclusion band on the vast majority of samples.
-  EXPECT_LT(static_cast<double>(after.zero_holder_samples),
-            0.2 * static_cast<double>(after.consistent_samples));
+  // The system keeps running and keeps making progress afterwards (the
+  // node counters are cumulative).
+  EXPECT_GT(after.node_totals().rule_executions,
+            before.node_totals().rule_executions);
+  EXPECT_GT(after.handovers(), 0u);
+  // Self-stabilization: the ring spends the vast majority of the window
+  // within the mutual-inclusion band.
+  ASSERT_GT(after.observed_us(), 0.0);
+  EXPECT_LT(after.zero_holder_dwell_us(), 0.2 * after.observed_us());
 }
 
 TEST(ThreadedRing, ActivationCallbackFires) {
@@ -143,19 +152,18 @@ TEST(ThreadedRing, RestartCycleRunsCleanly) {
   auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0),
                                  fast_params(13));
   tr->start();
-  const SamplerReport first = tr->observe(150ms, 300us);
+  const Telemetry first = tr->observe(150ms);
   tr->stop();
   // Second cycle restarts from the initial configuration on the same
-  // object; the sampler must still see the graceful handover.
+  // object; the window must still record the graceful handover.
   tr->start();
-  const SamplerReport second = tr->observe(150ms, 300us);
+  const Telemetry second = tr->observe(150ms);
   tr->stop();
-  EXPECT_GT(first.consistent_samples, 50u);
-  EXPECT_GT(second.consistent_samples, 50u);
-  EXPECT_EQ(second.zero_holder_samples, 0u);
-  EXPECT_GE(second.min_holders, 1u);
+  expect_graceful(first);
+  expect_graceful(second);
+  EXPECT_GT(second.handovers(), 0u);
   // Counters accumulate across cycles.
-  EXPECT_GE(second.messages_sent, first.messages_sent);
+  EXPECT_GT(second.node_totals().frames_sent, first.node_totals().frames_sent);
 }
 
 TEST(ThreadedRing, FaultPlanBurstWindowKeepsAHolder) {
@@ -163,22 +171,18 @@ TEST(ThreadedRing, FaultPlanBurstWindowKeepsAHolder) {
   RuntimeParams p = fast_params(15);
   p.fault_plan = FaultPlan::parse("burst@60ms-120ms");
   auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0), p);
-  Telemetry telemetry(4);
-  telemetry.set_context("threaded", "ssrmin", 15);
   tr->start();
-  const SamplerReport report = tr->observe(300ms, 300us, &telemetry);
+  const Telemetry t = tr->observe(300ms);
   tr->stop();
   // Theorem 3 through a total blackout: all frames die for 60ms but no
   // state is lost, so holders persist. (A handover straddling the window
   // edge can still open a brief stale-view gap — loss is loss — so this
   // asserts "essentially always covered", like the loss tests.)
-  EXPECT_GT(report.messages_lost, 10u);  // the burst actually dropped frames
-  ASSERT_GT(report.consistent_samples, 0u);
-  EXPECT_LT(static_cast<double>(report.zero_holder_samples),
-            0.05 * static_cast<double>(report.consistent_samples));
-  ASSERT_EQ(telemetry.window_outcomes().size(), 1u);
-  EXPECT_TRUE(telemetry.window_outcomes()[0].recovered);
-  EXPECT_LT(telemetry.zero_holder_dwell_us(), 0.05 * telemetry.observed_us());
+  EXPECT_GT(t.node_totals().frames_dropped, 10u);  // the burst dropped frames
+  ASSERT_EQ(t.window_outcomes().size(), 1u);
+  EXPECT_TRUE(t.window_outcomes()[0].recovered);
+  ASSERT_GT(t.observed_us(), 0.0);
+  EXPECT_LT(t.zero_holder_dwell_us(), 0.05 * t.observed_us());
 }
 
 TEST(ThreadedRing, CrashWindowResetsTheNodeOnce) {
@@ -186,32 +190,34 @@ TEST(ThreadedRing, CrashWindowResetsTheNodeOnce) {
   RuntimeParams p = fast_params(17);
   p.fault_plan = FaultPlan::parse("crash@40ms-80ms:node=2");
   auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0), p);
-  Telemetry telemetry(4);
   tr->start();
-  const SamplerReport report = tr->observe(300ms, 300us, &telemetry);
+  const Telemetry t = tr->observe(300ms);
   tr->stop();
-  EXPECT_EQ(tr->crash_restarts(), 1u);
+  EXPECT_EQ(t.node_totals().crash_restarts, 1u);
   // Stabilization after the wipe: the run keeps making progress and the
   // tail of the window sees holders again (Theorem 4 is eventual).
-  EXPECT_GT(report.rule_executions, 10u);
-  ASSERT_EQ(telemetry.window_outcomes().size(), 1u);
-  EXPECT_TRUE(telemetry.window_outcomes()[0].recovered);
+  EXPECT_GT(t.node_totals().rule_executions, 10u);
+  ASSERT_EQ(t.window_outcomes().size(), 1u);
+  EXPECT_TRUE(t.window_outcomes()[0].recovered);
 }
 
-TEST(ThreadedRing, DijkstraRunsButMayBlackout) {
-  // The Dijkstra baseline also runs on threads; its samples may observe
-  // zero holders (we do not assert they must — timing-dependent — only
-  // that SSRmin's guarantee does not trivially hold for any protocol by
-  // construction of the harness: the Dijkstra ring reports holder counts
-  // of at most one).
+TEST(ThreadedRing, DijkstraHoldersAreRecordedInTransit) {
+  // A Dijkstra node holds the token from the cache update that grants it
+  // until its own rule passes it on, so the holder set must change at
+  // every pass; publishing only after the rule would record no holder
+  // after the first pass. Between two holders the token is in flight and
+  // no node holds it (Figure 11), so zero-holder windows are expected.
   dijkstra::KStateRing ring(4, 5);
   auto tr = make_kstate_threaded(ring, dijkstra::KStateConfig(4),
                                  fast_params(11));
   tr->start();
-  const SamplerReport report = tr->observe(300ms, 200us);
+  const Telemetry t = tr->observe(300ms);
   tr->stop();
-  EXPECT_GT(report.rule_executions, 10u);
-  EXPECT_LE(report.max_holders, 2u);  // transiently 2 while a cache is stale
+  EXPECT_GT(t.node_totals().rule_executions, 100u);
+  EXPECT_GT(t.handovers(), 100u);
+  EXPECT_GT(t.zero_intervals(), 50u);
+  EXPECT_GT(t.holder_time_us()[1], 0.0);
+  EXPECT_LE(t.max_holders(), 2u);  // transiently 2 while a cache is stale
 }
 
 }  // namespace

@@ -19,10 +19,19 @@ namespace {
 using ssr::Rng;
 using ssr::runtime::TimerWheel;
 
-std::vector<std::uint64_t> advance(TimerWheel& wheel, std::uint64_t tick) {
-  std::vector<std::uint64_t> fired;
+// Advances @p wheel to @p tick and appends the expired timers' cookies to
+// @p cookies.
+void advance_cookies(TimerWheel& wheel, std::uint64_t tick,
+                     std::vector<std::uint64_t>& cookies) {
+  std::vector<TimerWheel::Expiry> fired;
   wheel.advance_to(tick, fired);
-  return fired;
+  for (const TimerWheel::Expiry& e : fired) cookies.push_back(e.cookie);
+}
+
+std::vector<std::uint64_t> advance(TimerWheel& wheel, std::uint64_t tick) {
+  std::vector<std::uint64_t> cookies;
+  advance_cookies(wheel, tick, cookies);
+  return cookies;
 }
 
 TEST(TimerWheel, FiresAtExactDeadline) {
@@ -43,18 +52,18 @@ TEST(TimerWheel, NeverFiresEarly) {
   wheel.schedule_in(70'000, 2);     // level 2
   wheel.schedule_in(17'000'000, 3); // level 3
   std::vector<std::uint64_t> fired;
-  wheel.advance_to(2, fired);
+  advance_cookies(wheel, 2, fired);
   EXPECT_TRUE(fired.empty());
-  wheel.advance_to(699, fired);
+  advance_cookies(wheel, 699, fired);
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{0}));
   fired.clear();
-  wheel.advance_to(69'999, fired);
+  advance_cookies(wheel, 69'999, fired);
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{1}));
   fired.clear();
-  wheel.advance_to(16'999'999, fired);
+  advance_cookies(wheel, 16'999'999, fired);
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{2}));
   fired.clear();
-  wheel.advance_to(17'000'000, fired);
+  advance_cookies(wheel, 17'000'000, fired);
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{3}));
   EXPECT_EQ(wheel.size(), 0u);
 }
@@ -112,7 +121,7 @@ TEST(TimerWheel, SameTickOrderSurvivesCascade) {
   TimerWheel wheel;
   for (std::uint64_t i = 0; i < 20; ++i) wheel.schedule_at(5000, i);
   std::vector<std::uint64_t> fired;
-  wheel.advance_to(5000, fired);
+  advance_cookies(wheel, 5000, fired);
   ASSERT_EQ(fired.size(), 20u);
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(fired[i], i);
 }
@@ -124,22 +133,24 @@ TEST(TimerWheel, CascadedTimerFiresBeforeLaterDirectOneOnSameTick) {
   TimerWheel wheel;
   wheel.schedule_at(300, 1);  // delay 300: level 1
   std::vector<std::uint64_t> fired;
-  wheel.advance_to(100, fired);
+  advance_cookies(wheel, 100, fired);
   wheel.schedule_at(300, 2);  // delay 200: level 0
-  wheel.advance_to(299, fired);
+  advance_cookies(wheel, 299, fired);
   EXPECT_TRUE(fired.empty());
-  wheel.advance_to(300, fired);
+  advance_cookies(wheel, 300, fired);
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2}));
   EXPECT_EQ(wheel.size(), 0u);
 }
 
 TEST(TimerWheel, PastDeadlineFiresOnNextAdvance) {
   TimerWheel wheel;
-  std::vector<std::uint64_t> fired;
-  wheel.advance_to(50, fired);
+  advance(wheel, 50);
   wheel.schedule_at(10, 4);  // already past; clamps to now
-  wheel.advance_to(50, fired);
-  EXPECT_EQ(fired, (std::vector<std::uint64_t>{4}));
+  std::vector<TimerWheel::Expiry> expired;
+  wheel.advance_to(50, expired);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired[0].cookie, 4u);
+  EXPECT_EQ(expired[0].deadline, 50u);
 }
 
 TEST(TimerWheel, RescheduleLoopLikeRefreshTimer) {
@@ -152,7 +163,7 @@ TEST(TimerWheel, RescheduleLoopLikeRefreshTimer) {
   std::vector<std::uint64_t> fired;
   for (std::uint64_t t = 0; t <= period * 1000; ++t) {
     fired.clear();
-    wheel.advance_to(t, fired);
+    advance_cookies(wheel, t, fired);
     for (auto cookie : fired) {
       (void)cookie;
       ++fires;
@@ -177,7 +188,7 @@ TEST(TimerWheel, DifferentialAgainstReferenceQueue) {
   std::vector<Ref> reference;
   std::uint64_t seq = 0;
   std::uint64_t now = 0;
-  std::vector<std::uint64_t> got;
+  std::vector<TimerWheel::Expiry> got;
   for (int step = 0; step < 4000; ++step) {
     const auto action = rng.below(10);
     if (action < 6) {
@@ -209,7 +220,10 @@ TEST(TimerWheel, DifferentialAgainstReferenceQueue) {
       });
       ASSERT_EQ(got.size(), due.size()) << "at now=" << now;
       for (std::size_t i = 0; i < due.size(); ++i) {
-        EXPECT_EQ(got[i], due[i]->cookie) << "fire order differs at " << i;
+        EXPECT_EQ(got[i].cookie, due[i]->cookie)
+            << "fire order differs at " << i;
+        EXPECT_EQ(got[i].deadline, due[i]->deadline)
+            << "expiry reports the wrong due tick at " << i;
         due[i]->fired = true;
       }
     }
@@ -233,10 +247,10 @@ TEST(TimerWheel, DeterministicAcrossRuns) {
       wheel.schedule_in(rng.below(100'000), i);
       if (i % 3 == 0) {
         now += rng.below(40'000);
-        wheel.advance_to(now, stream);
+        advance_cookies(wheel, now, stream);
       }
     }
-    wheel.advance_to(now + 200'000, stream);
+    advance_cookies(wheel, now + 200'000, stream);
     return stream;
   };
   EXPECT_EQ(run(), run());

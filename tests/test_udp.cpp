@@ -98,6 +98,19 @@ TEST(UdpRing, CorruptedFramesAreRejectedNotApplied) {
   EXPECT_LT(t.zero_holder_dwell_us(), 0.05 * t.observed_us());
 }
 
+// Under corruption most handovers stall on a lost frame until a refresh
+// repairs it. A refresh must be judged unanswered at the time its timer
+// was due: the shard loop sleeps up to 1 ms in epoll_wait, so the timer
+// fires late, after the answer to the previous refresh has arrived. Judged
+// at the firing time, a ring that does answer backs off towards 64x the
+// refresh interval and makes a few dozen handovers in 600 ms.
+TEST(UdpRing, AnsweredRefreshDoesNotBackOff) {
+  MultiRingReactor reactor(legit_ring(19, "corrupt=0.2"));
+  const ReactorReport report = reactor.run(600ms);
+  EXPECT_GT(report.frames_rejected, 10u);
+  EXPECT_GT(report.handovers, 120u);
+}
+
 TEST(UdpRing, SyntheticDropsAreCounted) {
   MultiRingReactor reactor(legit_ring(9, "drop=0.25"));
   const ReactorReport report = reactor.run(300ms);

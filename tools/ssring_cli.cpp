@@ -46,10 +46,11 @@
 //       Delay-variance stress on the graceful handover (experiment E22).
 //
 //   ssring run-threaded [--n N] [--k K] [--seed X] [--algo ssrmin|dijkstra]
-//                       [--duration-ms D] [--interval-us I] [--refresh-us R]
-//                       [--loss P] [--fault-plan SPEC] [--telemetry-json F]
-//       Run the real-thread runtime under a fault plan and report holder
-//       coverage; optionally export the telemetry JSON ('-' = stdout).
+//                       [--duration-ms D] [--refresh-us R]
+//                       [--fault-plan SPEC] [--telemetry-json F]
+//       Run the real-thread runtime under a fault plan (loss is
+//       "drop=P") and report its exact holder coverage; optionally export
+//       the telemetry JSON ('-' = stdout).
 //
 //   ssring run-multi    [--rings R] [--n N] [--k K] [--seed X]
 //                       [--protocol ssrmin|dijkstra|dual|mixed]
@@ -542,61 +543,66 @@ int write_telemetry(const std::string& path,
   return 0;
 }
 
-void print_runtime_report(const runtime::SamplerReport& r) {
-  TextTable table({"samples", "consistent", "zero-holder", "min", "max",
-                   "handovers", "sent", "lost", "rules"});
-  table.row()
-      .cell(r.samples)
-      .cell(r.consistent_samples)
-      .cell(r.zero_holder_samples)
-      .cell(r.min_holders)
-      .cell(r.max_holders)
-      .cell(r.handovers)
-      .cell(r.messages_sent)
-      .cell(r.messages_lost)
-      .cell(r.rule_executions);
-  std::cout << table.render();
-}
-
 int cmd_run_threaded(int argc, char** argv) {
+  if (has_flag(argc, argv, "--loss")) {
+    std::cerr << "--loss is gone: use --fault-plan drop=P\n";
+    return 2;
+  }
   const std::size_t n = arg_n(argc, argv, "5");
   const std::uint32_t k = arg_k(argc, argv, n);
   const std::uint64_t seed = arg_seed(argc, argv);
   const auto duration = std::chrono::milliseconds(
       std::atoll(value_of(argc, argv, "--duration-ms", "400")));
-  const auto interval = std::chrono::microseconds(
-      std::atoll(value_of(argc, argv, "--interval-us", "200")));
   const std::string algo = value_of(argc, argv, "--algo", "ssrmin");
   runtime::RuntimeParams params;
   params.refresh_interval = std::chrono::microseconds(
       std::atoll(value_of(argc, argv, "--refresh-us", "1000")));
-  params.loss_probability = std::atof(value_of(argc, argv, "--loss", "0"));
   params.seed = seed;
-  params.fault_plan =
-      runtime::FaultPlan::parse(value_of(argc, argv, "--fault-plan", ""));
+  const std::string faults = value_of(argc, argv, "--fault-plan", "");
+  params.fault_plan = runtime::FaultPlan::parse(faults);
 
+  auto observe = [duration](auto ring) {
+    ring->start();
+    runtime::Telemetry t = ring->observe(duration);
+    ring->stop();
+    return t;
+  };
   runtime::Telemetry telemetry(n);
-  telemetry.set_context("threaded", algo, seed);
-  runtime::SamplerReport report;
   if (algo == "ssrmin") {
     const core::SsrMinRing ring(n, k);
-    auto rt = runtime::make_ssrmin_threaded(
-        ring, core::canonical_legitimate(ring, 0), params);
-    rt->start();
-    report = rt->observe(duration, interval, &telemetry);
-    rt->stop();
+    telemetry = observe(runtime::make_ssrmin_threaded(
+        ring, core::canonical_legitimate(ring, 0), params));
   } else if (algo == "dijkstra") {
     const dijkstra::KStateRing ring(n, k);
-    auto rt = runtime::make_kstate_threaded(ring, dijkstra::KStateConfig(n),
-                                            params);
-    rt->start();
-    report = rt->observe(duration, interval, &telemetry);
-    rt->stop();
+    telemetry = observe(runtime::make_kstate_threaded(
+        ring, dijkstra::KStateConfig(n), params));
   } else {
     std::cerr << "unknown --algo: " << algo << '\n';
     return 2;
   }
-  print_runtime_report(report);
+  telemetry.set_context("threaded", algo, seed);
+
+  // The columns of bench_runtime's E13 table.
+  const runtime::NodeTelemetry total = telemetry.node_totals();
+  TextTable table({"runtime", "algorithm", "n", "faults", "observed us",
+                   "zero dwell us", "zero windows", "min holders",
+                   "max holders", "handovers", "rules exec", "msgs sent",
+                   "lost"});
+  table.row()
+      .cell("threads")
+      .cell(algo)
+      .cell(n)
+      .cell(faults.empty() ? "none" : faults)
+      .cell(telemetry.observed_us(), 0)
+      .cell(telemetry.zero_holder_dwell_us(), 1)
+      .cell(telemetry.zero_intervals())
+      .cell(telemetry.min_holders())
+      .cell(telemetry.max_holders())
+      .cell(telemetry.handovers())
+      .cell(total.rule_executions)
+      .cell(total.frames_sent)
+      .cell(total.frames_dropped + total.frames_corrupted);
+  std::cout << table.render();
   return write_telemetry(value_of(argc, argv, "--telemetry-json", ""),
                          telemetry);
 }
