@@ -10,8 +10,9 @@
 
 #include "bench_common.hpp"
 #include "core/legitimacy.hpp"
-#include "runtime/factories.hpp"
+#include "dijkstra/kstate.hpp"
 #include "runtime/reactor.hpp"
+#include "runtime/threaded_ring.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -39,13 +40,18 @@ void add_row(TextTable& table, const char* runtime, const char* algorithm,
       .cell(lost);
 }
 
-/// Runs a threaded ring for @p window and adds its row.
-template <typename Ring>
-void add_threaded_row(TextTable& table, const char* algorithm, std::size_t n,
-                      Ring ring, std::chrono::milliseconds window) {
-  ring->start();
-  const runtime::Telemetry t = ring->observe(window);
-  ring->stop();
+/// Runs @p protocol on threads from @p initial for @p window and adds its
+/// row.
+template <typename P>
+void add_threaded_row(TextTable& table, const char* algorithm,
+                      const P& protocol, std::vector<typename P::State> initial,
+                      const runtime::RuntimeParams& params,
+                      std::chrono::milliseconds window) {
+  runtime::ThreadedRing<P> ring(protocol, std::move(initial), params);
+  ring.start();
+  const runtime::Telemetry t = ring.observe(window);
+  ring.stop();
+  const std::size_t n = protocol.size();
   const runtime::NodeTelemetry total = t.node_totals();
   add_row(table, "threads", algorithm, n, "none", t, total.rule_executions,
           total.frames_sent, total.frames_dropped + total.frames_corrupted);
@@ -73,15 +79,11 @@ int main() {
     params.refresh_interval = 500us;
     params.seed = 2024;
     const core::SsrMinRing ssrmin(n, K);
-    add_threaded_row(table, "ssrmin", n,
-                     runtime::make_ssrmin_threaded(
-                         ssrmin, core::canonical_legitimate(ssrmin, 0), params),
-                     window);
+    add_threaded_row(table, "ssrmin", ssrmin,
+                     core::canonical_legitimate(ssrmin, 0), params, window);
     const dijkstra::KStateRing kstate(n, K);
-    add_threaded_row(table, "dijkstra", n,
-                     runtime::make_kstate_threaded(
-                         kstate, dijkstra::KStateConfig(n), params),
-                     window);
+    add_threaded_row(table, "dijkstra", kstate, dijkstra::KStateConfig(n),
+                     params, window);
   }
   // Real loopback UDP sockets with CRC-framed states, clean and with 20%
   // frame corruption (rejected by checksum, i.e. behaving as loss).

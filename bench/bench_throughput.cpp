@@ -117,20 +117,33 @@ void BM_ModelCheckN3K4(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelCheckN3K4);
 
+/// The reactor's send path: an SSRmin payload and its frame, encoded into
+/// reused buffers.
 void BM_WireEncodeFrame(benchmark::State& state) {
   const core::SsrState s{42, true, false};
+  wire::Bytes payload;
+  wire::Bytes frame;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wire::encode_state_frame(7, s));
+    payload.clear();
+    wire::put_varint(payload, 1);
+    wire::put_state(payload, s);
+    frame.clear();
+    wire::encode_frame_v2_into(frame, 7, 0, payload);
+    benchmark::DoNotOptimize(frame.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_WireEncodeFrame);
 
+/// The reactor's receive path: the frame parsed in place.
 void BM_WireDecodeFrame(benchmark::State& state) {
-  const wire::Bytes frame =
-      wire::encode_state_frame(7, core::SsrState{42, true, false});
+  wire::Bytes payload;
+  wire::put_varint(payload, 1);
+  wire::put_state(payload, core::SsrState{42, true, false});
+  wire::Bytes frame;
+  wire::encode_frame_v2_into(frame, 7, 0, payload);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wire::decode_frame(frame));
+    benchmark::DoNotOptimize(wire::decode_frame_view(frame));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

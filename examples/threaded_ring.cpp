@@ -11,7 +11,7 @@
 #include <mutex>
 
 #include "core/legitimacy.hpp"
-#include "runtime/factories.hpp"
+#include "runtime/threaded_ring.hpp"
 
 int main(int argc, char** argv) {
   using namespace ssr;
@@ -24,13 +24,13 @@ int main(int argc, char** argv) {
   runtime::RuntimeParams params;
   params.refresh_interval = 2ms;
   params.seed = 11;
-  auto tr = runtime::make_ssrmin_threaded(
+  runtime::ThreadedRing<core::SsrMinRing> tr(
       ring, core::canonical_legitimate(ring, 0), params);
 
   std::mutex io;
   std::atomic<int> events{0};
   const auto t0 = std::chrono::steady_clock::now();
-  tr->set_activation_callback([&](std::size_t i, bool active) {
+  tr.set_activation_callback([&](std::size_t i, bool active) {
     // Only narrate the first handovers; after that just count.
     const int k = events.fetch_add(1);
     if (k < 24) {
@@ -44,9 +44,9 @@ int main(int argc, char** argv) {
   });
 
   std::printf("starting %zu camera nodes (one thread each)...\n\n", nodes);
-  tr->start();
-  const runtime::Telemetry t = tr->observe(std::chrono::milliseconds(millis));
-  tr->stop();
+  tr.start();
+  const runtime::Telemetry t = tr.observe(std::chrono::milliseconds(millis));
+  tr.stop();
   const runtime::NodeTelemetry total = t.node_totals();
 
   std::printf("\n--- %d ms of real-time operation ---\n", millis);

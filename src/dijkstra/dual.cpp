@@ -49,7 +49,8 @@ DualKStateRing::State DualKStateRing::apply(std::size_t i, int rule,
 }
 
 bool DualKStateRing::holds_token(std::size_t i, const State& self,
-                                 const State& pred) const {
+                                 const State& pred,
+                                 const State& /*succ*/) const {
   return kstate_guard(i, self.a, pred.a) || kstate_guard(i, self.b, pred.b);
 }
 
@@ -71,7 +72,10 @@ std::size_t privileged_count(const DualKStateRing& ring,
   const std::size_t n = config.size();
   std::size_t count = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (ring.holds_token(i, config[i], config[stab::pred_index(i, n)])) ++count;
+    if (ring.holds_token(i, config[i], config[stab::pred_index(i, n)],
+                         config[stab::succ_index(i, n)])) {
+      ++count;
+    }
   }
   return count;
 }

@@ -46,8 +46,11 @@ class DualKStateRing {
   State apply(std::size_t i, int rule, const State& self, const State& pred,
               const State& succ) const;
 
-  /// A node holds a token iff it holds the token of either instance.
-  bool holds_token(std::size_t i, const State& self, const State& pred) const;
+  /// A node holds a token iff it holds the token of either instance. The
+  /// successor is not read; every protocol's token predicate takes the
+  /// same local view.
+  bool holds_token(std::size_t i, const State& self, const State& pred,
+                   const State& succ) const;
 
  private:
   std::size_t n_;

@@ -25,7 +25,10 @@ std::size_t token_count(const KStateRing& ring, const KStateConfig& config) {
   const std::size_t n = config.size();
   std::size_t count = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (ring.holds_token(i, config[i], config[stab::pred_index(i, n)])) ++count;
+    if (ring.holds_token(i, config[i], config[stab::pred_index(i, n)],
+                         config[stab::succ_index(i, n)])) {
+      ++count;
+    }
   }
   return count;
 }
@@ -84,7 +87,8 @@ stab::TraceStyle<KStateLocal> trace_style(const KStateRing& ring) {
   style.annotate = [ring](const std::vector<KStateLocal>& config,
                           std::size_t i) -> std::string {
     const std::size_t n = config.size();
-    return ring.holds_token(i, config[i], config[stab::pred_index(i, n)])
+    return ring.holds_token(i, config[i], config[stab::pred_index(i, n)],
+                            config[stab::succ_index(i, n)])
                ? "T"
                : "";
   };

@@ -67,8 +67,11 @@ class KStateRing {
   State apply(std::size_t i, int rule, const State& self, const State& pred,
               const State& /*succ*/) const;
 
-  /// Token condition: identical to the guard (paper Algorithm 1 lines 6, 10).
-  bool holds_token(std::size_t i, const State& self, const State& pred) const {
+  /// Token condition: identical to the guard (paper Algorithm 1 lines 6,
+  /// 10). The successor is not read; every protocol's token predicate takes
+  /// the same local view.
+  bool holds_token(std::size_t i, const State& self, const State& pred,
+                   const State& /*succ*/) const {
     return kstate_guard(i, self.x, pred.x);
   }
 

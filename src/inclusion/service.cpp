@@ -1,7 +1,6 @@
 #include "inclusion/service.hpp"
 
 #include "core/legitimacy.hpp"
-#include "runtime/factories.hpp"
 #include "util/assert.hpp"
 
 namespace ssr::incl {
@@ -24,7 +23,7 @@ DutyService::DutyService(DutyServiceParams params, DutyCallback on_duty_change)
   active_.assign(n, false);
 
   core::SsrMinRing ring(n, K);
-  ring_ = runtime::make_ssrmin_threaded(
+  ring_ = std::make_unique<runtime::ThreadedRing<core::SsrMinRing>>(
       ring, core::canonical_legitimate(ring, 0), params_.runtime);
   // The initial holder is already on duty before start(): seed accounting.
   active_[0] = true;

@@ -3,7 +3,8 @@
 // the sharded PDES engine in msgpass/pdes.hpp, which holds the network
 // model (one message per directed link, newest-state pending slot, loss,
 // duplication, fault plans), the event handlers and the determinism
-// contract.
+// contract. A node fires its rules with stab::fire, the node step every
+// message-passing host shares (stabilizing/cst_node.hpp).
 //
 // The ring needs no adjacency arrays: node i's two outgoing links are
 // 2i (to its predecessor) and 2i + 1 (to its successor), its caches of
@@ -24,7 +25,7 @@
 #include <vector>
 
 #include "msgpass/pdes.hpp"
-#include "stabilizing/protocol.hpp"
+#include "stabilizing/cst_node.hpp"
 #include "util/assert.hpp"
 
 namespace ssr::msgpass {
@@ -89,13 +90,8 @@ class CstSimulation
   }
 
   bool fire(std::size_t i) {
-    State& self = this->states_[i];
-    const State& pred = this->cache_[2 * i];
-    const State& succ = this->cache_[2 * i + 1];
-    const int rule = protocol_.enabled_rule(i, self, pred, succ);
-    if (rule == stab::kDisabled) return false;
-    self = protocol_.apply(i, rule, self, pred, succ);
-    return true;
+    return stab::fire(protocol_, i, this->states_[i], this->cache_[2 * i],
+                      this->cache_[2 * i + 1]);
   }
 
   bool holds(std::size_t i) const {

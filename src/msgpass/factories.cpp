@@ -4,6 +4,20 @@
 
 namespace ssr::msgpass {
 
+namespace {
+
+/// The protocol's own token predicate on a node's local view.
+template <typename P>
+auto local_view_token(const P& ring) {
+  return [ring](std::size_t i, const typename P::State& self,
+                const typename P::State& pred_view,
+                const typename P::State& succ_view) {
+    return ring.holds_token(i, self, pred_view, succ_view);
+  };
+}
+
+}  // namespace
+
 void NetworkParams::validate() const {
   SSR_REQUIRE(delay_min > 0.0, "message delay must be positive");
   SSR_REQUIRE(delay_max >= delay_min, "delay_max must be >= delay_min");
@@ -33,39 +47,22 @@ double NetworkParams::draw_delay(Rng& rng) const {
 CstSimulation<core::SsrMinRing> make_ssrmin_cst(const core::SsrMinRing& ring,
                                                 core::SsrConfig initial,
                                                 NetworkParams params) {
-  auto token = [ring](std::size_t i, const core::SsrState& self,
-                      const core::SsrState& pred_view,
-                      const core::SsrState& succ_view) {
-    return ring.holds_primary(i, self, pred_view) ||
-           ring.holds_secondary(self, succ_view);
-  };
   return CstSimulation<core::SsrMinRing>(ring, std::move(initial),
-                                         std::move(token), params);
+                                         local_view_token(ring), params);
 }
 
 RoundSimulation<core::SsrMinRing> make_ssrmin_rounds(
     const core::SsrMinRing& ring, core::SsrConfig initial,
     RoundParams params) {
-  auto token = [ring](std::size_t i, const core::SsrState& self,
-                      const core::SsrState& pred_view,
-                      const core::SsrState& succ_view) {
-    return ring.holds_primary(i, self, pred_view) ||
-           ring.holds_secondary(self, succ_view);
-  };
   return RoundSimulation<core::SsrMinRing>(ring, std::move(initial),
-                                           std::move(token), params);
+                                           local_view_token(ring), params);
 }
 
 RoundSimulation<dijkstra::KStateRing> make_kstate_rounds(
     const dijkstra::KStateRing& ring, dijkstra::KStateConfig initial,
     RoundParams params) {
-  auto token = [ring](std::size_t i, const dijkstra::KStateLocal& self,
-                      const dijkstra::KStateLocal& pred_view,
-                      const dijkstra::KStateLocal& /*succ_view*/) {
-    return ring.holds_token(i, self, pred_view);
-  };
   return RoundSimulation<dijkstra::KStateRing>(ring, std::move(initial),
-                                               std::move(token), params);
+                                               local_view_token(ring), params);
 }
 
 CstSimulation<core::SsrMinRing> make_ssrmin_weak_cst(
@@ -98,25 +95,15 @@ CstSimulation<core::SsrMinRing> make_ssrmin_secondary_only_cst(
 CstSimulation<dijkstra::KStateRing> make_kstate_cst(
     const dijkstra::KStateRing& ring, dijkstra::KStateConfig initial,
     NetworkParams params) {
-  auto token = [ring](std::size_t i, const dijkstra::KStateLocal& self,
-                      const dijkstra::KStateLocal& pred_view,
-                      const dijkstra::KStateLocal& /*succ_view*/) {
-    return ring.holds_token(i, self, pred_view);
-  };
   return CstSimulation<dijkstra::KStateRing>(ring, std::move(initial),
-                                             std::move(token), params);
+                                             local_view_token(ring), params);
 }
 
 CstSimulation<dijkstra::DualKStateRing> make_dual_cst(
     const dijkstra::DualKStateRing& ring, dijkstra::DualConfig initial,
     NetworkParams params) {
-  auto token = [ring](std::size_t i, const dijkstra::DualLocal& self,
-                      const dijkstra::DualLocal& pred_view,
-                      const dijkstra::DualLocal& /*succ_view*/) {
-    return ring.holds_token(i, self, pred_view);
-  };
-  return CstSimulation<dijkstra::DualKStateRing>(ring, std::move(initial),
-                                                 std::move(token), params);
+  return CstSimulation<dijkstra::DualKStateRing>(
+      ring, std::move(initial), local_view_token(ring), params);
 }
 
 }  // namespace ssr::msgpass

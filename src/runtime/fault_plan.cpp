@@ -1,7 +1,7 @@
 #include "runtime/fault_plan.hpp"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
@@ -72,22 +72,20 @@ double parse_time_us(const std::string& item, const std::string& value) {
   return v * scale;
 }
 
-/// Formats microseconds compactly (integral values without a fraction);
-/// round-trips through parse_time_us.
-std::string format_us(double us) {
-  char buf[64];
-  if (us == static_cast<double>(static_cast<long long>(us))) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(us));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", us);
-  }
-  return std::string(buf) + "us";
+/// The shortest decimal that parses back to @p v.
+std::string format_shortest(double v) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, result.ptr);
 }
 
-std::string format_probability(double p) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", p);
-  return buf;
+/// Formats microseconds compactly (integral values without a fraction or
+/// an exponent); round-trips through parse_time_us.
+std::string format_us(double us) {
+  if (us == static_cast<double>(static_cast<long long>(us))) {
+    return std::to_string(static_cast<long long>(us)) + "us";
+  }
+  return format_shortest(us) + "us";
 }
 
 std::string format_index(std::size_t i) {
@@ -126,6 +124,10 @@ FaultWindow parse_window(const std::string& item, FaultWindow::Kind kind,
           parse_fail(item, "cut selector needs \"a/b\"");
         w.cut_a = parse_index(item, trim(value.substr(0, slash)));
         w.cut_b = parse_index(item, trim(value.substr(slash + 1)));
+        if (w.cut_a == w.cut_b) {
+          parse_fail(item, "cut needs two different edges: cutting one edge "
+                           "twice partitions nothing");
+        }
       } else {
         parse_fail(item, "unknown argument \"" + key + "\"");
       }
@@ -179,6 +181,8 @@ void FaultPlan::validate(std::size_t n) const {
       case FaultWindow::Kind::kPartition:
         SSR_REQUIRE(w.cut_a < n && w.cut_b < n,
                     "partition cut index out of range for the ring");
+        SSR_REQUIRE(w.cut_a != w.cut_b,
+                    "partition needs cut=a/b with two different edges");
         break;
       case FaultWindow::Kind::kNodePause:
       case FaultWindow::Kind::kCrashRestart:
@@ -251,11 +255,11 @@ std::string FaultPlan::describe() const {
     sep = ";";
   };
   const FaultProbabilities& p = probabilities;
-  if (p.drop > 0.0) emit("drop=" + format_probability(p.drop));
-  if (p.duplicate > 0.0) emit("dup=" + format_probability(p.duplicate));
-  if (p.reorder > 0.0) emit("reorder=" + format_probability(p.reorder));
+  if (p.drop > 0.0) emit("drop=" + format_shortest(p.drop));
+  if (p.duplicate > 0.0) emit("dup=" + format_shortest(p.duplicate));
+  if (p.reorder > 0.0) emit("reorder=" + format_shortest(p.reorder));
   if (p.corrupt > 0.0) {
-    emit("corrupt=" + format_probability(p.corrupt));
+    emit("corrupt=" + format_shortest(p.corrupt));
     if (p.corrupt_bits != 1)
       emit("corrupt-bits=" + std::to_string(p.corrupt_bits));
   }

@@ -35,7 +35,8 @@
 //   time      := number ['us'|'ms'|'s']          (default microseconds)
 //   arg       := 'link' '=' (index|'*') '->' (index|'*')   (burst, linkdown)
 //              | 'node' '=' index                          (pause, crash)
-//              | 'cut' '=' index '/' index                 (partition)
+//              | 'cut' '=' index '/' index                 (partition;
+//                                                 two different edges)
 //
 // Example: "drop=0.05;burst@200ms-400ms;linkdown@500ms-600ms:link=1->2;
 //           partition@700ms-750ms:cut=0/2;crash@900ms-950ms:node=3"

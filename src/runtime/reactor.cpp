@@ -148,6 +148,9 @@ struct MultiRingReactor::Shard {
   // sendmmsg failures (kernel send queue full); frames are dropped and
   // the refresh machinery repairs.
   std::uint64_t send_errors = 0;
+  // Start time of the loop's last pass before the deadline: a ring whose
+  // last holder gain is this recent counts as live (make_report).
+  std::uint64_t last_pass_us = 0;
 
   // --- virtual transport: in-flight frames carried by wheel entries -----
   // Slot s is arena[s * kSlotStride, (s + 1) * kSlotStride); freed slot
@@ -432,13 +435,13 @@ std::optional<std::size_t> MultiRingReactor::process_frame(
   const auto frame = wire::decode_frame_view(bytes);
   if (!frame) {
     // Injected corruption, rejected by checksum — exactly what a real
-    // receiver does.
+    // receiver does. A v1 frame fails here too, on its version byte.
     ++shard.rejected;
     return std::nullopt;
   }
-  if (frame->version != wire::kVersion2 || frame->ring_id >= config_.rings ||
+  if (frame->ring_id >= config_.rings ||
       frame->ring_id % shards_.size() != shard.id) {
-    ++shard.rejected;  // v1, misrouted or garbage ring id
+    ++shard.rejected;  // misrouted or garbage ring id
     return std::nullopt;
   }
   const auto ring = static_cast<std::size_t>(frame->ring_id);
@@ -492,6 +495,7 @@ void MultiRingReactor::run_virtual(std::chrono::microseconds duration) {
   for (std::size_t r = 0; r < config_.rings; ++r) {
     shard.wheel.schedule_at(1 + (r % 256), kick_cookie(r));
   }
+  shard.last_pass_us = end;  // the loop below passes every tick up to end
   for (std::uint64_t t = 0; t <= end; ++t) {
     for (;;) {
       shard.fired.clear();
@@ -598,6 +602,7 @@ void MultiRingReactor::udp_shard_main(Shard& shard,
 
   epoll_event event{};
   for (std::uint64_t t = now_us(); t < deadline_us; t = now_us()) {
+    shard.last_pass_us = t;
     // Drain due timers into the repair queue, then serve only a budget of
     // them this iteration: repair (kick/refresh) broadcasts are paced at
     // the rate the loop actually absorbs, instead of a thundering herd of
@@ -682,6 +687,7 @@ void MultiRingReactor::run_udp(std::chrono::microseconds duration) {
 // --- entry point and reporting -------------------------------------------
 
 ReactorReport MultiRingReactor::run(std::chrono::microseconds duration) {
+  SSR_REQUIRE(duration.count() > 0, "run duration must be positive");
   SSR_REQUIRE(!ran_, "a MultiRingReactor instance runs once");
   ran_ = true;
   ran_duration_us_ = static_cast<double>(duration.count());
@@ -723,16 +729,21 @@ ReactorReport MultiRingReactor::make_report(double duration_us) {
     report.handovers += c.handovers;
     if (table_->is_legitimate(r)) ++report.rings_legitimate;
     // "Live token": someone holds right now, or a holder gain happened
-    // within the last two refresh intervals. Dijkstra-style rings consume
-    // the token inside the very delivery that grants it, so the holder
-    // bit is transient — recency of the last gain is the liveness signal.
+    // within two refresh intervals of the shard's last loop pass.
+    // Dijkstra-style rings consume the token inside the very delivery that
+    // grants it, so the holder bit is transient — recency of the last gain
+    // is the liveness signal. It is measured from the last pass, not from
+    // the nominal end: a shard thread descheduled near its deadline makes
+    // no gains in the meantime.
     const std::uint64_t last_gain = table_->last_handover_us(r);
+    const double last_pass =
+        static_cast<double>(shards_[r % shards_.size()]->last_pass_us);
     const double refresh_us =
         static_cast<double>(config_.refresh_interval.count());
     const bool token_live =
         table_->holder_mask(r) != 0 ||
         (last_gain != std::numeric_limits<std::uint64_t>::max() &&
-         duration_us - static_cast<double>(last_gain) <= 2.0 * refresh_us);
+         last_pass - static_cast<double>(last_gain) <= 2.0 * refresh_us);
     if (token_live) ++report.rings_with_holder;
   }
   for (const auto& shard : shards_) {

@@ -109,9 +109,10 @@ struct ReactorReport {
   /// Rings whose ground-truth state is legitimate at the end of the run.
   std::size_t rings_legitimate = 0;
   /// Rings with a live token at the end: a node holds in own-view right
-  /// now, or a holder gain was observed within the last two refresh
-  /// intervals (Dijkstra-style rings consume the token inside the
-  /// delivery that grants it, so the holder bit itself is transient).
+  /// now, or a holder gain was observed within two refresh intervals of
+  /// the ring's shard's last loop pass (Dijkstra-style rings consume the
+  /// token inside the delivery that grants it, so the holder bit itself is
+  /// transient).
   std::size_t rings_with_holder = 0;
 };
 
@@ -160,8 +161,8 @@ class MultiRingReactor {
   MultiRingReactor& operator=(const MultiRingReactor&) = delete;
 
   /// Runs the configured transport for @p duration (virtual microseconds
-  /// under kVirtual, wall time under kUdp) and returns the aggregate
-  /// report. Callable once per reactor instance.
+  /// under kVirtual, wall time under kUdp; it must be positive) and
+  /// returns the aggregate report. Callable once per reactor instance.
   ReactorReport run(std::chrono::microseconds duration);
 
   const RingTable& table() const { return *table_; }

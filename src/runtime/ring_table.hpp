@@ -9,21 +9,25 @@
 // contiguously instead of chasing one heap object per ring.
 //
 // Protocols are mixed at runtime: each ring is SSRmin, Dijkstra K-state or
-// dual K-state, dispatched with a switch over a universal NodeState
-// (uint32 a, uint32 b, uint8 flags) that covers all three local-state
-// layouts. The protocol objects themselves (SsrMinRing &c.) are shared —
-// they are pure (n, K) pairs.
+// dual K-state, stored as a universal NodeState (uint32 a, uint32 b, uint8
+// flags) that covers all three local-state layouts. One switch, visit(),
+// hands a ring's protocol object to a generic lambda, which unpacks the
+// states into the protocol's own type. The protocol objects themselves
+// (SsrMinRing &c.) are shared — they are pure (n, K) pairs.
 //
 // The message-passing semantics are Algorithm 4's (CST): a node owns its
 // local state plus cached neighbor states; a received frame updates the
-// cache and may enable a rule; a state change triggers a broadcast to both
-// neighbors; token holding is judged from the node's own (state, caches)
-// view. The table is transport-agnostic — the reactor decides how frames
-// travel (virtual clock or real UDP sockets).
+// cache and may enable a rule, which stab::fire runs; a state change
+// triggers a broadcast to both neighbors; token holding is the protocol's
+// holds_token on the node's own (state, caches) view. The table is
+// transport-agnostic — the reactor decides how frames travel (virtual
+// clock or real UDP sockets).
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,7 +36,7 @@
 #include "core/state.hpp"
 #include "dijkstra/dual.hpp"
 #include "dijkstra/kstate.hpp"
-#include "stabilizing/protocol.hpp"
+#include "stabilizing/cst_node.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "wire/codec.hpp"
@@ -77,14 +81,18 @@ inline NodeState pack_state(const dijkstra::KStateLocal& s) {
 inline NodeState pack_state(const dijkstra::DualLocal& s) {
   return NodeState{s.a, s.b, 0};
 }
-inline core::SsrState unpack_ssr(const NodeState& s) {
-  return core::SsrState{s.a, (s.flags & 2) != 0, (s.flags & 1) != 0};
-}
-inline dijkstra::KStateLocal unpack_kstate(const NodeState& s) {
-  return dijkstra::KStateLocal{s.a};
-}
-inline dijkstra::DualLocal unpack_dual(const NodeState& s) {
-  return dijkstra::DualLocal{s.a, s.b};
+
+/// Unpacks a packed state into the protocol's state type @p S.
+template <typename S>
+S unpack_state(const NodeState& s) {
+  if constexpr (std::is_same_v<S, core::SsrState>) {
+    return core::SsrState{s.a, (s.flags & 2) != 0, (s.flags & 1) != 0};
+  } else if constexpr (std::is_same_v<S, dijkstra::KStateLocal>) {
+    return dijkstra::KStateLocal{s.a};
+  } else {
+    static_assert(std::is_same_v<S, dijkstra::DualLocal>);
+    return dijkstra::DualLocal{s.a, s.b};
+  }
 }
 
 /// Per-ring wire/rule counters (plain integers — each ring is owned by
@@ -120,9 +128,8 @@ class RingTable {
         kstate_(nodes, modulus),
         dual_(nodes, modulus),
         protocols_(std::move(protocols)),
-        ssr_scratch_(nodes),
-        kstate_scratch_(nodes),
-        dual_scratch_(nodes) {
+        scratch_(core::SsrConfig(nodes), dijkstra::KStateConfig(nodes),
+                 dijkstra::DualConfig(nodes)) {
     SSR_REQUIRE(num_rings_ >= 1, "need at least one ring");
     SSR_REQUIRE(n_ >= 3 && n_ <= 64,
                 "multi-ring nodes must be in [3, 64] (holder bitmask)");
@@ -179,22 +186,9 @@ class RingTable {
                       wire::Bytes& out) const {
     wire::put_varint(out, dest);
     const NodeState& s = states_[ring * n_ + node];
-    switch (protocols_[ring]) {
-      case RingProtocolKind::kSsrMin: {
-        const core::SsrState state = unpack_ssr(s);
-        wire::put_varint(out, state.x);
-        out.push_back(static_cast<std::uint8_t>((state.rts ? 2 : 0) |
-                                                (state.tra ? 1 : 0)));
-        break;
-      }
-      case RingProtocolKind::kKState:
-        wire::put_varint(out, s.a);
-        break;
-      case RingProtocolKind::kDual:
-        wire::put_varint(out, s.a);
-        wire::put_varint(out, s.b);
-        break;
-    }
+    visit(ring, [&](const auto& p) {
+      wire::put_state(out, unpack_state<StateOf<decltype(p)>>(s));
+    });
   }
 
   /// Parses the state portion of a payload (after the dest varint) for
@@ -202,31 +196,15 @@ class RingTable {
   /// any malformation.
   bool decode_state(std::size_t ring, wire::ByteView payload,
                     std::size_t offset, NodeState& out) const {
-    switch (protocols_[ring]) {
-      case RingProtocolKind::kSsrMin: {
-        const auto state = wire::decode_ssr_state(
-            payload.subspan(offset));
-        if (!state || state->x >= ssr_.modulus()) return false;
-        out = pack_state(*state);
-        return true;
-      }
-      case RingProtocolKind::kKState: {
-        const auto state = wire::decode_kstate(payload.subspan(offset));
-        if (!state || state->x >= kstate_.modulus()) return false;
-        out = pack_state(*state);
-        return true;
-      }
-      case RingProtocolKind::kDual: {
-        const auto state = wire::decode_dual(payload.subspan(offset));
-        if (!state || state->a >= dual_.modulus() ||
-            state->b >= dual_.modulus()) {
-          return false;
-        }
-        out = pack_state(*state);
-        return true;
-      }
-    }
-    return false;
+    const bool parsed = visit(ring, [&](const auto& p) {
+      const auto state =
+          wire::decode_state<StateOf<decltype(p)>>(payload.subspan(offset));
+      if (state) out = pack_state(*state);
+      return state.has_value();
+    });
+    // Every protocol's values lie in [0, K), and b is 0 where unused.
+    const std::uint32_t k = ssr_.modulus();
+    return parsed && out.a < k && out.b < k;
   }
 
   struct DeliverResult {
@@ -275,41 +253,19 @@ class RingTable {
 
   /// Applies at most one enabled rule at @p node from its current caches.
   bool step_node(std::size_t ring, std::size_t node) {
-    const std::size_t base = ring * n_;
-    NodeState& self = states_[base + node];
-    const NodeState& pred = cache_pred_[base + node];
-    const NodeState& succ = cache_succ_[base + node];
-    switch (protocols_[ring]) {
-      case RingProtocolKind::kSsrMin: {
-        core::SsrState s = unpack_ssr(self);
-        const core::SsrState p = unpack_ssr(pred);
-        const core::SsrState u = unpack_ssr(succ);
-        const int rule = ssr_.enabled_rule(node, s, p, u);
-        if (rule == stab::kDisabled) return false;
-        self = pack_state(ssr_.apply(node, rule, s, p, u));
-        break;
+    const std::size_t at = ring * n_ + node;
+    const bool fired = visit(ring, [&](const auto& p) {
+      using S = StateOf<decltype(p)>;
+      S self = unpack_state<S>(states_[at]);
+      if (!stab::fire(p, node, self, unpack_state<S>(cache_pred_[at]),
+                      unpack_state<S>(cache_succ_[at]))) {
+        return false;
       }
-      case RingProtocolKind::kKState: {
-        dijkstra::KStateLocal s = unpack_kstate(self);
-        const dijkstra::KStateLocal p = unpack_kstate(pred);
-        const dijkstra::KStateLocal u = unpack_kstate(succ);
-        const int rule = kstate_.enabled_rule(node, s, p, u);
-        if (rule == stab::kDisabled) return false;
-        self = pack_state(kstate_.apply(node, rule, s, p, u));
-        break;
-      }
-      case RingProtocolKind::kDual: {
-        dijkstra::DualLocal s = unpack_dual(self);
-        const dijkstra::DualLocal p = unpack_dual(pred);
-        const dijkstra::DualLocal u = unpack_dual(succ);
-        const int rule = dual_.enabled_rule(node, s, p, u);
-        if (rule == stab::kDisabled) return false;
-        self = pack_state(dual_.apply(node, rule, s, p, u));
-        break;
-      }
-    }
-    ++counters_[ring].rule_executions;
-    return true;
+      states_[at] = pack_state(self);
+      return true;
+    });
+    if (fired) ++counters_[ring].rule_executions;
+    return fired;
   }
 
   /// Recomputes @p node's holder bit from its own view; a 0->1 transition
@@ -337,34 +293,20 @@ class RingTable {
     return true;
   }
 
-  bool update_holder(std::size_t ring, std::size_t node,
-                     std::uint64_t now_us) {
-    return update_holder_with(ring, node, now_us, [](std::uint64_t) {});
-  }
-
   /// Token holding from the node's own (state, caches) view — what a
   /// deployed node would compute.
   bool node_holds(std::size_t ring, std::size_t node) const {
-    const std::size_t base = ring * n_;
-    const NodeState& self = states_[base + node];
-    const NodeState& pred = cache_pred_[base + node];
-    const NodeState& succ = cache_succ_[base + node];
-    switch (protocols_[ring]) {
-      case RingProtocolKind::kSsrMin:
-        return ssr_.holds_token(node, unpack_ssr(self), unpack_ssr(pred),
-                                unpack_ssr(succ));
-      case RingProtocolKind::kKState:
-        return kstate_.holds_token(node, unpack_kstate(self),
-                                   unpack_kstate(pred));
-      case RingProtocolKind::kDual:
-        return dual_.holds_token(node, unpack_dual(self),
-                                 unpack_dual(pred));
-    }
-    return false;
+    const std::size_t at = ring * n_ + node;
+    return visit(ring, [&](const auto& p) {
+      using S = StateOf<decltype(p)>;
+      return p.holds_token(node, unpack_state<S>(states_[at]),
+                           unpack_state<S>(cache_pred_[at]),
+                           unpack_state<S>(cache_succ_[at]));
+    });
   }
 
   /// Crash-restart with state reset: wipes @p node's state and caches.
-  /// The caller re-derives the holder bit (update_holder) so the
+  /// The caller re-derives the holder bit (update_holder_with) so the
   /// transition feeds its telemetry hooks.
   void crash_node(std::size_t ring, std::size_t node) {
     const std::size_t base = ring * n_;
@@ -380,24 +322,15 @@ class RingTable {
   /// allocates nothing; calls must not run concurrently.
   bool is_legitimate(std::size_t ring) const {
     const std::size_t base = ring * n_;
-    switch (protocols_[ring]) {
-      case RingProtocolKind::kSsrMin:
-        for (std::size_t i = 0; i < n_; ++i) {
-          ssr_scratch_[i] = unpack_ssr(states_[base + i]);
-        }
-        return core::is_legitimate(ssr_, ssr_scratch_);
-      case RingProtocolKind::kKState:
-        for (std::size_t i = 0; i < n_; ++i) {
-          kstate_scratch_[i] = unpack_kstate(states_[base + i]);
-        }
-        return dijkstra::is_legitimate(kstate_, kstate_scratch_);
-      case RingProtocolKind::kDual:
-        for (std::size_t i = 0; i < n_; ++i) {
-          dual_scratch_[i] = unpack_dual(states_[base + i]);
-        }
-        return dijkstra::is_legitimate(dual_, dual_scratch_);
-    }
-    return false;
+    return visit(ring, [&](const auto& p) {
+      using S = StateOf<decltype(p)>;
+      using core::is_legitimate, dijkstra::is_legitimate;
+      auto& config = std::get<std::vector<S>>(scratch_);
+      for (std::size_t i = 0; i < n_; ++i) {
+        config[i] = unpack_state<S>(states_[base + i]);
+      }
+      return is_legitimate(p, config);
+    });
   }
 
   /// Re-seeds caches from the true neighbor states and recomputes every
@@ -426,41 +359,41 @@ class RingTable {
   }
 
  private:
-  void init_ring(std::size_t r, RingStart start) {
-    const std::size_t base = r * n_;
-    Rng& rng = rngs_[r];
-    switch (protocols_[r]) {
-      case RingProtocolKind::kSsrMin: {
-        const core::SsrConfig config =
-            start == RingStart::kRandom
-                ? core::random_config(ssr_, rng)
-                : core::canonical_legitimate(ssr_, 0);
-        for (std::size_t i = 0; i < n_; ++i) {
-          states_[base + i] = pack_state(config[i]);
-        }
+  template <typename P>
+  using StateOf = typename std::remove_cvref_t<P>::State;
+
+  /// Calls @p f with @p ring's protocol object: the table's one protocol
+  /// dispatch. @p f returns the same type for all three protocols.
+  template <typename F>
+  std::invoke_result_t<F&, const core::SsrMinRing&> visit(std::size_t ring,
+                                                          F&& f) const {
+    switch (protocols_[ring]) {
+      case RingProtocolKind::kSsrMin:
+        return f(ssr_);
+      case RingProtocolKind::kKState:
+        return f(kstate_);
+      case RingProtocolKind::kDual:
         break;
-      }
-      case RingProtocolKind::kKState: {
-        dijkstra::KStateConfig config(n_);
-        if (start == RingStart::kRandom) {
-          config = dijkstra::random_config(kstate_, rng);
-        }
-        for (std::size_t i = 0; i < n_; ++i) {
-          states_[base + i] = pack_state(config[i]);
-        }
-        break;
-      }
-      case RingProtocolKind::kDual: {
-        dijkstra::DualConfig config(n_);
-        if (start == RingStart::kRandom) {
-          config = dijkstra::random_config(dual_, rng);
-        }
-        for (std::size_t i = 0; i < n_; ++i) {
-          states_[base + i] = pack_state(config[i]);
-        }
-        break;
-      }
     }
+    return f(dual_);
+  }
+
+  /// A seeded arbitrary configuration, or the legitimate start: SSRmin's
+  /// gamma_0 and all-zero counters for K-state and dual.
+  void init_ring(std::size_t r, RingStart start) {
+    visit(r, [&](const auto& p) {
+      using S = StateOf<decltype(p)>;
+      using core::random_config, dijkstra::random_config;
+      std::vector<S> config(n_);
+      if (start == RingStart::kRandom) {
+        config = random_config(p, rngs_[r]);
+      } else if constexpr (std::is_same_v<S, core::SsrState>) {
+        config = core::canonical_legitimate(p, 0);
+      }
+      for (std::size_t i = 0; i < n_; ++i) {
+        states_[r * n_ + i] = pack_state(config[i]);
+      }
+    });
     reset_caches(r);
   }
 
@@ -470,10 +403,10 @@ class RingTable {
   dijkstra::KStateRing kstate_;
   dijkstra::DualKStateRing dual_;
   std::vector<RingProtocolKind> protocols_;
-  // is_legitimate's configurations.
-  mutable core::SsrConfig ssr_scratch_;
-  mutable dijkstra::KStateConfig kstate_scratch_;
-  mutable dijkstra::DualConfig dual_scratch_;
+  // is_legitimate's configurations, one per protocol.
+  mutable std::tuple<core::SsrConfig, dijkstra::KStateConfig,
+                     dijkstra::DualConfig>
+      scratch_;
   std::vector<NodeState> states_;
   std::vector<NodeState> cache_pred_;
   std::vector<NodeState> cache_succ_;

@@ -3,7 +3,9 @@
 // as the refresh timer. This is the "wireless sensor node" substitute —
 // message transmission takes real (scheduler-dependent) time, so the model
 // gap the paper analyzes in §5 exists physically here, not just in
-// simulation.
+// simulation. A node fires its rules with stab::fire and judges its token
+// with the protocol's holds_token (stabilizing/cst_node.hpp), like every
+// other message-passing host.
 //
 // Concurrency design (per the CP.* Core Guidelines rules):
 //  * each node's protocol state and caches are owned exclusively by its
@@ -56,7 +58,7 @@
 #include <vector>
 #include "runtime/fault_plan.hpp"
 #include "runtime/telemetry.hpp"
-#include "stabilizing/protocol.hpp"
+#include "stabilizing/cst_node.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -75,21 +77,17 @@ struct RuntimeParams {
   void validate() const;
 };
 
-template <stab::RingProtocol P>
+template <stab::TokenRingProtocol P>
 class ThreadedRing {
  public:
   using State = typename P::State;
-  using TokenFn =
-      std::function<bool(std::size_t, const State&, const State&, const State&)>;
   /// Optional hook fired from the node's own thread whenever its token
   /// holding flips; must be thread-safe. Arguments: node id, now-holding.
   using ActivationFn = std::function<void(std::size_t, bool)>;
 
-  ThreadedRing(P protocol, std::vector<State> initial, TokenFn token,
-               RuntimeParams params)
+  ThreadedRing(P protocol, std::vector<State> initial, RuntimeParams params)
       : protocol_(std::move(protocol)),
         params_(params),
-        token_(std::move(token)),
         initial_(std::move(initial)),
         holders_(initial_.size()),
         injector_(params_.fault_plan, initial_.size() > 1 ? initial_.size() : 2) {
@@ -152,9 +150,10 @@ class ThreadedRing {
   /// window's Telemetry: the exact holder timeline (wall-clock times on
   /// the injector's fault clock), the fault windows' recovery and the
   /// per-node counters, which count from construction. Blocks the caller
-  /// for @p duration.
+  /// for @p duration, which must be positive.
   Telemetry observe(std::chrono::milliseconds duration) {
     SSR_REQUIRE(running_, "call start() before observe()");
+    SSR_REQUIRE(duration.count() > 0, "observe duration must be positive");
     Telemetry telemetry(nodes_.size());
     telemetry.set_plan(injector_.plan());
     {
@@ -284,8 +283,9 @@ class ThreadedRing {
     const std::size_t n = initial_.size();
     std::lock_guard lock(holder_mutex_);
     for (std::size_t i = 0; i < n; ++i) {
-      holders_[i] = token_(i, initial_[i], initial_[stab::pred_index(i, n)],
-                           initial_[stab::succ_index(i, n)]);
+      holders_[i] = protocol_.holds_token(i, initial_[i],
+                                          initial_[stab::pred_index(i, n)],
+                                          initial_[stab::succ_index(i, n)]);
     }
   }
 
@@ -303,14 +303,14 @@ class ThreadedRing {
     State self = initial_[i];
     State cache_pred = initial_[pred];
     State cache_succ = initial_[succ];
-    bool holding = token_(i, self, cache_pred, cache_succ);
+    bool holding = protocol_.holds_token(i, self, cache_pred, cache_succ);
     // Reorder hold slots, one per outgoing link (pred-/succ-directed): a
     // held message is transmitted after the next one on the same link.
     std::optional<State> held_to_pred;
     std::optional<State> held_to_succ;
 
     auto publish = [&] {
-      const bool h = token_(i, self, cache_pred, cache_succ);
+      const bool h = protocol_.holds_token(i, self, cache_pred, cache_succ);
       if (h == holding) return;
       holding = h;
       {
@@ -406,10 +406,7 @@ class ThreadedRing {
       // publishing only afterwards would never show a holder (the
       // reactor's RingTable::deliver does the same).
       publish();
-      const int rule =
-          protocol_.enabled_rule(i, self, cache_pred, cache_succ);
-      if (rule != stab::kDisabled) {
-        self = protocol_.apply(i, rule, self, cache_pred, cache_succ);
+      if (stab::fire(protocol_, i, self, cache_pred, cache_succ)) {
         counters.rules.fetch_add(1, std::memory_order_relaxed);
       }
       // Publish before sending: a neighbor that acts on this state update
@@ -421,7 +418,6 @@ class ThreadedRing {
 
   P protocol_;
   RuntimeParams params_;
-  TokenFn token_;
   ActivationFn activation_;
   std::vector<State> initial_;
 

@@ -75,16 +75,12 @@ std::string to_string(DecodeError error) {
   return "unknown";
 }
 
-namespace {
-
-/// Appends magic, version, ring-id (v2 only), sender, length, payload and
-/// the CRC of all of them.
-void put_frame(Bytes& out, std::uint8_t version, std::uint64_t ring_id,
-               std::uint64_t sender, ByteView payload) {
+void encode_frame_v2_into(Bytes& out, std::uint64_t ring_id,
+                          std::uint64_t sender, ByteView payload) {
   const std::size_t start = out.size();
   out.push_back(kMagic);
-  out.push_back(version);
-  if (version == kVersion2) put_varint(out, ring_id);
+  out.push_back(kVersion2);
+  put_varint(out, ring_id);
   put_varint(out, sender);
   put_varint(out, payload.size());
   out.insert(out.end(), payload.begin(), payload.end());
@@ -95,30 +91,7 @@ void put_frame(Bytes& out, std::uint8_t version, std::uint64_t ring_id,
   }
 }
 
-}  // namespace
-
-Bytes encode_frame(std::uint64_t sender, ByteView payload) {
-  Bytes out;
-  out.reserve(payload.size() + 12);
-  put_frame(out, kVersion, 0, sender, payload);
-  return out;
-}
-
-void encode_frame_v2_into(Bytes& out, std::uint64_t ring_id,
-                          std::uint64_t sender, ByteView payload) {
-  put_frame(out, kVersion2, ring_id, sender, payload);
-}
-
-Bytes encode_frame_v2(std::uint64_t ring_id, std::uint64_t sender,
-                      ByteView payload) {
-  Bytes out;
-  out.reserve(payload.size() + 20);
-  encode_frame_v2_into(out, ring_id, sender, payload);
-  return out;
-}
-
-std::optional<FrameView> decode_frame_view(ByteView data, DecodeError* error,
-                                           std::uint8_t max_version) {
+std::optional<FrameView> decode_frame_view(ByteView data, DecodeError* error) {
   auto fail = [&](DecodeError e) -> std::optional<FrameView> {
     if (error != nullptr) *error = e;
     return std::nullopt;
@@ -126,17 +99,10 @@ std::optional<FrameView> decode_frame_view(ByteView data, DecodeError* error,
   if (error != nullptr) *error = DecodeError::kNone;
   if (data.size() < 2 + 1 + 1 + 4) return fail(DecodeError::kTruncated);
   if (data[0] != kMagic) return fail(DecodeError::kBadMagic);
-  FrameView frame;
-  frame.version = data[1];
-  if (frame.version < kVersion || frame.version > max_version) {
-    return fail(DecodeError::kBadVersion);
-  }
+  if (data[1] != kVersion2) return fail(DecodeError::kBadVersion);
   std::size_t offset = 2;
-  if (frame.version == kVersion2) {
-    const auto ring = get_varint(data, offset);
-    if (!ring) return fail(DecodeError::kTruncated);
-    frame.ring_id = *ring;
-  }
+  const auto ring = get_varint(data, offset);
+  if (!ring) return fail(DecodeError::kTruncated);
   const auto sender = get_varint(data, offset);
   if (!sender) return fail(DecodeError::kTruncated);
   const auto length = get_varint(data, offset);
@@ -152,21 +118,13 @@ std::optional<FrameView> decode_frame_view(ByteView data, DecodeError* error,
   if (crc32(data.first(crc_offset)) != stored) {
     return fail(DecodeError::kBadChecksum);
   }
-  frame.sender = *sender;
-  frame.payload = data.subspan(offset, *length);
-  return frame;
-}
-
-std::optional<Frame> decode_frame(ByteView data, DecodeError* error) {
-  const auto view = decode_frame_view(data, error, kVersion);
-  if (!view) return std::nullopt;
-  return Frame{view->sender, Bytes(view->payload.begin(), view->payload.end())};
+  return FrameView{*ring, *sender, data.subspan(offset, *length)};
 }
 
 std::optional<FrameV2> decode_frame_any(ByteView data, DecodeError* error) {
   const auto view = decode_frame_view(data, error);
   if (!view) return std::nullopt;
-  return FrameV2{view->version, view->ring_id, view->sender,
+  return FrameV2{view->ring_id, view->sender,
                  Bytes(view->payload.begin(), view->payload.end())};
 }
 
@@ -179,56 +137,58 @@ void corrupt_bits(Bytes& frame, Rng& rng, std::size_t flips) {
   }
 }
 
-Bytes encode_state(const core::SsrState& state) {
-  Bytes out;
+void put_state(Bytes& out, const core::SsrState& state) {
   put_varint(out, state.x);
   out.push_back(static_cast<std::uint8_t>((state.rts ? 2 : 0) |
                                           (state.tra ? 1 : 0)));
-  return out;
 }
 
-std::optional<core::SsrState> decode_ssr_state(ByteView payload) {
-  std::size_t offset = 0;
-  const auto x = get_varint(payload, offset);
-  if (!x || *x > UINT32_MAX) return std::nullopt;
-  if (offset + 1 != payload.size()) return std::nullopt;
-  const std::uint8_t flags = payload[offset];
-  if (flags > 3) return std::nullopt;
-  core::SsrState s;
-  s.x = static_cast<std::uint32_t>(*x);
-  s.rts = (flags & 2) != 0;
-  s.tra = (flags & 1) != 0;
-  return s;
-}
-
-Bytes encode_state(const dijkstra::KStateLocal& state) {
-  Bytes out;
+void put_state(Bytes& out, const dijkstra::KStateLocal& state) {
   put_varint(out, state.x);
-  return out;
 }
 
-std::optional<dijkstra::KStateLocal> decode_kstate(ByteView payload) {
-  std::size_t offset = 0;
-  const auto x = get_varint(payload, offset);
-  if (!x || *x > UINT32_MAX || offset != payload.size()) return std::nullopt;
-  return dijkstra::KStateLocal{static_cast<std::uint32_t>(*x)};
-}
-
-Bytes encode_state(const dijkstra::DualLocal& state) {
-  Bytes out;
+void put_state(Bytes& out, const dijkstra::DualLocal& state) {
   put_varint(out, state.a);
   put_varint(out, state.b);
-  return out;
 }
 
-std::optional<dijkstra::DualLocal> decode_dual(ByteView payload) {
+namespace {
+
+/// Reads a varint that fits 32 bits at @p offset, advancing it.
+std::optional<std::uint32_t> get_u32(ByteView data, std::size_t& offset) {
+  const auto v = get_varint(data, offset);
+  if (!v || *v > UINT32_MAX) return std::nullopt;
+  return static_cast<std::uint32_t>(*v);
+}
+
+}  // namespace
+
+template <>
+std::optional<core::SsrState> decode_state(ByteView payload) {
   std::size_t offset = 0;
-  const auto a = get_varint(payload, offset);
-  if (!a || *a > UINT32_MAX) return std::nullopt;
-  const auto b = get_varint(payload, offset);
-  if (!b || *b > UINT32_MAX || offset != payload.size()) return std::nullopt;
-  return dijkstra::DualLocal{static_cast<std::uint32_t>(*a),
-                             static_cast<std::uint32_t>(*b)};
+  const auto x = get_u32(payload, offset);
+  if (!x || offset + 1 != payload.size()) return std::nullopt;
+  const std::uint8_t flags = payload[offset];
+  if (flags > 3) return std::nullopt;
+  return core::SsrState{*x, (flags & 2) != 0, (flags & 1) != 0};
+}
+
+template <>
+std::optional<dijkstra::KStateLocal> decode_state(ByteView payload) {
+  std::size_t offset = 0;
+  const auto x = get_u32(payload, offset);
+  if (!x || offset != payload.size()) return std::nullopt;
+  return dijkstra::KStateLocal{*x};
+}
+
+template <>
+std::optional<dijkstra::DualLocal> decode_state(ByteView payload) {
+  std::size_t offset = 0;
+  const auto a = get_u32(payload, offset);
+  if (!a) return std::nullopt;
+  const auto b = get_u32(payload, offset);
+  if (!b || offset != payload.size()) return std::nullopt;
+  return dijkstra::DualLocal{*a, *b};
 }
 
 }  // namespace ssr::wire

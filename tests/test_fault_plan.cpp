@@ -67,6 +67,9 @@ TEST(FaultPlan, DescribeRoundTrips) {
   EXPECT_DOUBLE_EQ(reparsed.probabilities.drop, 0.1);
   EXPECT_EQ(reparsed.windows[1].from, 1u);
   EXPECT_EQ(reparsed.windows[1].to, kAnyNode);
+  // The shortest form that parses back to the same value.
+  EXPECT_EQ(FaultPlan::parse("drop=0.1;dup=0.05").describe(),
+            "drop=0.1;dup=0.05");
 }
 
 TEST(FaultPlan, ParseErrors) {
@@ -80,6 +83,9 @@ TEST(FaultPlan, ParseErrors) {
   EXPECT_THROW(FaultPlan::parse("crash@100-200:cut=0/1;corrupt-bits=0"),
                std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("pause@100ms-50ly:node=1"),
+               std::invalid_argument);
+  // Cutting one edge twice partitions nothing.
+  EXPECT_THROW(FaultPlan::parse("partition@1ms-2ms:cut=0/0"),
                std::invalid_argument);
 }
 
@@ -95,6 +101,9 @@ TEST(FaultPlan, ValidationCatchesBadRanges) {
   EXPECT_THROW(plan.validate(4), std::invalid_argument);
   // partition cut out of range
   plan = FaultPlan::parse("partition@100ms-200ms:cut=0/9");
+  EXPECT_THROW(plan.validate(4), std::invalid_argument);
+  // a partition without a cut would cut edge 0 twice
+  plan = FaultPlan::parse("partition@100ms-200ms");
   EXPECT_THROW(plan.validate(4), std::invalid_argument);
   // in-range versions are fine
   EXPECT_NO_THROW(FaultPlan::parse("crash@100ms-200ms:node=3").validate(4));

@@ -75,7 +75,7 @@ TEST(TokenCount, AllEqualHasExactlyOneTokenAtBottom) {
   KStateRing ring(5, 6);
   const KStateConfig config = make_config({2, 2, 2, 2, 2});
   EXPECT_EQ(token_count(ring, config), 1u);
-  EXPECT_TRUE(ring.holds_token(0, config[0], config[4]));
+  EXPECT_TRUE(ring.holds_token(0, config[0], config[4], config[1]));
 }
 
 TEST(Legitimacy, AcceptsAllEnumeratedForms) {

@@ -173,6 +173,16 @@ TEST(MultiRing, UdpTransportHostsRingsOnSharedSockets) {
   EXPECT_EQ(report.rings_with_holder, 64u);
 }
 
+// run() rejects a duration that is not positive, and the rejection leaves
+// the reactor runnable. A negative duration cast to an unsigned deadline
+// would otherwise run for about 2^64 microseconds.
+TEST(MultiRing, RunRejectsANonPositiveDuration) {
+  MultiRingReactor reactor(mixed_config(4, 1));
+  EXPECT_THROW(reactor.run(milliseconds(-1)), std::invalid_argument);
+  EXPECT_THROW(reactor.run(microseconds(0)), std::invalid_argument);
+  EXPECT_EQ(reactor.run(milliseconds(1)).rings, 4u);
+}
+
 // validate() rejects geometries the table cannot host.
 TEST(MultiRing, ConfigValidation) {
   ReactorConfig config;

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/legitimacy.hpp"
-#include "runtime/factories.hpp"
+#include "dijkstra/kstate.hpp"
 
 namespace ssr::runtime {
 namespace {
@@ -39,36 +39,51 @@ TEST(RuntimeParams, Validation) {
   core::SsrMinRing ring(4, 5);
   p = fast_params();
   p.fault_plan.probabilities.drop = 1.0;
-  EXPECT_THROW(make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0), p),
+  EXPECT_THROW(ThreadedRing<core::SsrMinRing>(
+                   ring, core::canonical_legitimate(ring, 0), p),
                std::invalid_argument);
 }
 
 TEST(ThreadedRing, RejectsSizeMismatch) {
   core::SsrMinRing ring(4, 5);
-  EXPECT_THROW(make_ssrmin_threaded(ring, core::SsrConfig(3), fast_params()),
-               std::invalid_argument);
+  EXPECT_THROW(
+      ThreadedRing<core::SsrMinRing>(ring, core::SsrConfig(3), fast_params()),
+      std::invalid_argument);
 }
 
 TEST(ThreadedRing, WindowStartsFromTheInitialHolders) {
   // start() publishes the coherent initial holder set, so a window opened
   // at once shows no startup gap.
   core::SsrMinRing ring(4, 5);
-  auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0),
-                                 fast_params());
-  EXPECT_THROW(tr->observe(1ms), std::invalid_argument);  // not started
-  tr->start();
-  const Telemetry t = tr->observe(5ms);
-  tr->stop();
+  ThreadedRing<core::SsrMinRing> tr(ring, core::canonical_legitimate(ring, 0),
+                                    fast_params());
+  EXPECT_THROW(tr.observe(1ms), std::invalid_argument);  // not started
+  tr.start();
+  const Telemetry t = tr.observe(5ms);
+  tr.stop();
+  expect_graceful(t);
+}
+
+TEST(ThreadedRing, ObserveRejectsANonPositiveDuration) {
+  core::SsrMinRing ring(4, 5);
+  ThreadedRing<core::SsrMinRing> tr(ring, core::canonical_legitimate(ring, 0),
+                                    fast_params());
+  tr.start();
+  EXPECT_THROW(tr.observe(0ms), std::invalid_argument);
+  EXPECT_THROW(tr.observe(-1ms), std::invalid_argument);
+  // A rejected window leaves none open.
+  const Telemetry t = tr.observe(5ms);
+  tr.stop();
   expect_graceful(t);
 }
 
 TEST(ThreadedRing, GracefulHandoverNeverZeroHolders) {
   core::SsrMinRing ring(4, 5);
-  auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0),
-                                 fast_params(3));
-  tr->start();
-  const Telemetry t = tr->observe(400ms);
-  tr->stop();
+  ThreadedRing<core::SsrMinRing> tr(ring, core::canonical_legitimate(ring, 0),
+                                    fast_params(3));
+  tr.start();
+  const Telemetry t = tr.observe(400ms);
+  tr.stop();
   EXPECT_GE(t.observed_us(), 400'000.0);
   expect_graceful(t);
   // The ring actually ran: rules executed and the token moved.
@@ -82,10 +97,11 @@ TEST(ThreadedRing, SurvivesMessageLoss) {
   core::SsrMinRing ring(4, 5);
   RuntimeParams p = fast_params(5);
   p.fault_plan = FaultPlan::parse("drop=0.2");
-  auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0), p);
-  tr->start();
-  const Telemetry t = tr->observe(400ms);
-  tr->stop();
+  ThreadedRing<core::SsrMinRing> tr(ring, core::canonical_legitimate(ring, 0),
+                                    p);
+  tr.start();
+  const Telemetry t = tr.observe(400ms);
+  tr.stop();
   EXPECT_GT(t.node_totals().frames_dropped, 0u);
   EXPECT_GT(t.node_totals().rule_executions, 5u);
   // With loss, a node whose freshest view of its successor was dropped can
@@ -98,14 +114,14 @@ TEST(ThreadedRing, SurvivesMessageLoss) {
 
 TEST(ThreadedRing, RecoversAfterCorruption) {
   core::SsrMinRing ring(4, 5);
-  auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0),
-                                 fast_params(7));
-  tr->start();
-  const Telemetry before = tr->observe(100ms);
+  ThreadedRing<core::SsrMinRing> tr(ring, core::canonical_legitimate(ring, 0),
+                                    fast_params(7));
+  tr.start();
+  const Telemetry before = tr.observe(100ms);
   // Transient fault: scramble node 2 completely.
-  tr->corrupt(2, core::SsrState{4, true, true});
-  const Telemetry after = tr->observe(300ms);
-  tr->stop();
+  tr.corrupt(2, core::SsrState{4, true, true});
+  const Telemetry after = tr.observe(300ms);
+  tr.stop();
   // The system keeps running and keeps making progress afterwards (the
   // node counters are cumulative).
   EXPECT_GT(after.node_totals().rule_executions,
@@ -119,29 +135,29 @@ TEST(ThreadedRing, RecoversAfterCorruption) {
 
 TEST(ThreadedRing, ActivationCallbackFires) {
   core::SsrMinRing ring(4, 5);
-  auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0),
-                                 fast_params(9));
+  ThreadedRing<core::SsrMinRing> tr(ring, core::canonical_legitimate(ring, 0),
+                                    fast_params(9));
   std::atomic<int> activations{0};
   std::atomic<int> deactivations{0};
-  tr->set_activation_callback([&](std::size_t, bool active) {
+  tr.set_activation_callback([&](std::size_t, bool active) {
     (active ? activations : deactivations).fetch_add(1);
   });
-  tr->start();
+  tr.start();
   std::this_thread::sleep_for(300ms);
-  tr->stop();
+  tr.stop();
   EXPECT_GT(activations.load(), 0);
   EXPECT_GT(deactivations.load(), 0);
 }
 
 TEST(ThreadedRing, StartStopIdempotent) {
   core::SsrMinRing ring(4, 5);
-  auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0),
-                                 fast_params());
-  tr->start();
-  tr->start();
+  ThreadedRing<core::SsrMinRing> tr(ring, core::canonical_legitimate(ring, 0),
+                                    fast_params());
+  tr.start();
+  tr.start();
   std::this_thread::sleep_for(20ms);
-  tr->stop();
-  tr->stop();
+  tr.stop();
+  tr.stop();
   // Destruction after stop must also be clean (checked by ASan/valgrind
   // runs; here we just exercise the path).
   SUCCEED();
@@ -149,16 +165,16 @@ TEST(ThreadedRing, StartStopIdempotent) {
 
 TEST(ThreadedRing, RestartCycleRunsCleanly) {
   core::SsrMinRing ring(4, 5);
-  auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0),
-                                 fast_params(13));
-  tr->start();
-  const Telemetry first = tr->observe(150ms);
-  tr->stop();
+  ThreadedRing<core::SsrMinRing> tr(ring, core::canonical_legitimate(ring, 0),
+                                    fast_params(13));
+  tr.start();
+  const Telemetry first = tr.observe(150ms);
+  tr.stop();
   // Second cycle restarts from the initial configuration on the same
   // object; the window must still record the graceful handover.
-  tr->start();
-  const Telemetry second = tr->observe(150ms);
-  tr->stop();
+  tr.start();
+  const Telemetry second = tr.observe(150ms);
+  tr.stop();
   expect_graceful(first);
   expect_graceful(second);
   EXPECT_GT(second.handovers(), 0u);
@@ -170,10 +186,11 @@ TEST(ThreadedRing, FaultPlanBurstWindowKeepsAHolder) {
   core::SsrMinRing ring(4, 5);
   RuntimeParams p = fast_params(15);
   p.fault_plan = FaultPlan::parse("burst@60ms-120ms");
-  auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0), p);
-  tr->start();
-  const Telemetry t = tr->observe(300ms);
-  tr->stop();
+  ThreadedRing<core::SsrMinRing> tr(ring, core::canonical_legitimate(ring, 0),
+                                    p);
+  tr.start();
+  const Telemetry t = tr.observe(300ms);
+  tr.stop();
   // Theorem 3 through a total blackout: all frames die for 60ms but no
   // state is lost, so holders persist. (A handover straddling the window
   // edge can still open a brief stale-view gap — loss is loss — so this
@@ -189,10 +206,11 @@ TEST(ThreadedRing, CrashWindowResetsTheNodeOnce) {
   core::SsrMinRing ring(4, 5);
   RuntimeParams p = fast_params(17);
   p.fault_plan = FaultPlan::parse("crash@40ms-80ms:node=2");
-  auto tr = make_ssrmin_threaded(ring, core::canonical_legitimate(ring, 0), p);
-  tr->start();
-  const Telemetry t = tr->observe(300ms);
-  tr->stop();
+  ThreadedRing<core::SsrMinRing> tr(ring, core::canonical_legitimate(ring, 0),
+                                    p);
+  tr.start();
+  const Telemetry t = tr.observe(300ms);
+  tr.stop();
   EXPECT_EQ(t.node_totals().crash_restarts, 1u);
   // Stabilization after the wipe: the run keeps making progress and the
   // tail of the window sees holders again (Theorem 4 is eventual).
@@ -208,11 +226,11 @@ TEST(ThreadedRing, DijkstraHoldersAreRecordedInTransit) {
   // after the first pass. Between two holders the token is in flight and
   // no node holds it (Figure 11), so zero-holder windows are expected.
   dijkstra::KStateRing ring(4, 5);
-  auto tr = make_kstate_threaded(ring, dijkstra::KStateConfig(4),
-                                 fast_params(11));
-  tr->start();
-  const Telemetry t = tr->observe(300ms);
-  tr->stop();
+  ThreadedRing<dijkstra::KStateRing> tr(ring, dijkstra::KStateConfig(4),
+                                        fast_params(11));
+  tr.start();
+  const Telemetry t = tr.observe(300ms);
+  tr.stop();
   EXPECT_GT(t.node_totals().rule_executions, 100u);
   EXPECT_GT(t.handovers(), 100u);
   EXPECT_GT(t.zero_intervals(), 50u);

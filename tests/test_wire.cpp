@@ -63,82 +63,19 @@ TEST(Crc32, EmptyIsZero) {
   EXPECT_EQ(crc32(Bytes{}), 0u);
 }
 
-TEST(Frame, RoundTrip) {
-  const Bytes payload{1, 2, 3, 4, 5};
-  const Bytes framed = encode_frame(42, payload);
-  DecodeError error{};
-  const auto frame = decode_frame(framed, &error);
-  ASSERT_TRUE(frame.has_value()) << to_string(error);
-  EXPECT_EQ(frame->sender, 42u);
-  EXPECT_EQ(frame->payload, payload);
+/// A complete frame around @p payload.
+Bytes frame(std::uint64_t ring, std::uint64_t sender, const Bytes& payload) {
+  Bytes out;
+  encode_frame_v2_into(out, ring, sender, payload);
+  return out;
 }
 
-TEST(Frame, EmptyPayloadAllowed) {
-  const Bytes framed = encode_frame(7, Bytes{});
-  const auto frame = decode_frame(framed);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_TRUE(frame->payload.empty());
-}
-
-TEST(Frame, RejectsBadMagic) {
-  Bytes framed = encode_frame(1, Bytes{9});
-  framed[0] = 0x00;
-  DecodeError error{};
-  EXPECT_EQ(decode_frame(framed, &error), std::nullopt);
-  EXPECT_EQ(error, DecodeError::kBadMagic);
-}
-
-TEST(Frame, RejectsBadVersion) {
-  Bytes framed = encode_frame(1, Bytes{9});
-  framed[1] = 99;
-  DecodeError error{};
-  EXPECT_EQ(decode_frame(framed, &error), std::nullopt);
-  EXPECT_EQ(error, DecodeError::kBadVersion);
-}
-
-TEST(Frame, RejectsTruncation) {
-  Bytes framed = encode_frame(1, Bytes{9, 9, 9});
-  framed.resize(framed.size() - 2);
-  DecodeError error{};
-  EXPECT_EQ(decode_frame(framed, &error), std::nullopt);
-  EXPECT_NE(error, DecodeError::kNone);
-}
-
-TEST(Frame, RejectsPayloadBitFlip) {
-  Bytes framed = encode_frame(1, Bytes{0xAA, 0xBB});
-  // Flip a payload bit; the CRC must catch it.
-  framed[framed.size() - 5] ^= 0x01;
-  DecodeError error{};
-  EXPECT_EQ(decode_frame(framed, &error), std::nullopt);
-  EXPECT_EQ(error, DecodeError::kBadChecksum);
-}
-
-TEST(Frame, CorruptBitsAlwaysDetectedOrHarmless) {
-  // Property: a frame with any small number of flipped bits either fails
-  // to decode, or (vanishingly unlikely with CRC-32, impossible for 1-2
-  // flips) decodes to the original content. It must never decode to
-  // *different* content.
-  Rng rng(77);
-  const core::SsrState state{5, true, false};
-  for (int trial = 0; trial < 2000; ++trial) {
-    Bytes framed = encode_state_frame(3, state);
-    corrupt_bits(framed, rng, 1 + rng.below(3));
-    const auto frame = decode_frame(framed);
-    if (!frame.has_value()) continue;
-    const auto decoded = decode_ssr_state(frame->payload);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, state);
-    EXPECT_EQ(frame->sender, 3u);
-  }
-}
-
-TEST(Frame, RandomGarbageNeverCrashes) {
-  Rng rng(99);
-  for (int trial = 0; trial < 5000; ++trial) {
-    Bytes junk(rng.below(64));
-    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.below(256));
-    EXPECT_NO_THROW({ (void)decode_frame(junk); });
-  }
+/// @p state as a payload.
+template <typename S>
+Bytes payload_of(const S& state) {
+  Bytes out;
+  put_state(out, state);
+  return out;
 }
 
 TEST(FrameV2, RoundTrip) {
@@ -148,50 +85,44 @@ TEST(FrameV2, RoundTrip) {
                              std::uint64_t{100000}, std::uint64_t{1} << 40}) {
     for (std::uint64_t sender : {std::uint64_t{0}, std::uint64_t{5},
                                  std::uint64_t{300}}) {
-      const Bytes framed = encode_frame_v2(ring, sender, payload);
+      const Bytes framed = frame(ring, sender, payload);
       DecodeError error{};
-      const auto frame = decode_frame_any(framed, &error);
-      ASSERT_TRUE(frame.has_value()) << to_string(error);
-      EXPECT_EQ(frame->version, kVersion2);
-      EXPECT_EQ(frame->ring_id, ring);
-      EXPECT_EQ(frame->sender, sender);
-      EXPECT_EQ(frame->payload, payload);
+      const auto decoded = decode_frame_any(framed, &error);
+      ASSERT_TRUE(decoded.has_value()) << to_string(error);
+      EXPECT_EQ(decoded->ring_id, ring);
+      EXPECT_EQ(decoded->sender, sender);
+      EXPECT_EQ(decoded->payload, payload);
     }
   }
 }
 
-TEST(FrameV2, DecodeAnyAcceptsV1) {
-  // Backward compatibility: a frame from the single-ring runtimes decodes
-  // through decode_frame_any with ring_id 0 and version 1.
-  const Bytes payload{1, 2, 3};
-  const Bytes framed = encode_frame(42, payload);
-  const auto frame = decode_frame_any(framed);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->version, kVersion);
-  EXPECT_EQ(frame->ring_id, 0u);
-  EXPECT_EQ(frame->sender, 42u);
-  EXPECT_EQ(frame->payload, payload);
+TEST(FrameV2, EmptyPayloadAllowed) {
+  const auto decoded = decode_frame_any(frame(3, 7, Bytes{}));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(decoded->payload.empty());
 }
 
-TEST(FrameV2, V1DecoderRejectsV2WithBadVersion) {
-  // The legacy decoder must reject-and-name v2 frames so a mixed deployment
-  // counts them instead of misparsing them.
-  const Bytes framed = encode_frame_v2(7, 1, Bytes{9});
-  DecodeError error{};
-  EXPECT_EQ(decode_frame(framed, &error), std::nullopt);
-  EXPECT_EQ(error, DecodeError::kBadVersion);
-}
-
-TEST(FrameV2, DecodeAnyRejectsUnknownVersion) {
-  Bytes framed = encode_frame_v2(7, 1, Bytes{9});
-  framed[1] = 3;
+TEST(FrameV2, RejectsBadMagic) {
+  Bytes framed = frame(3, 1, Bytes{9});
+  framed[0] = 0x00;
   DecodeError error{};
   EXPECT_EQ(decode_frame_any(framed, &error), std::nullopt);
-  EXPECT_EQ(error, DecodeError::kBadVersion);
+  EXPECT_EQ(error, DecodeError::kBadMagic);
+}
+
+TEST(FrameV2, RejectsEveryOtherVersion) {
+  // Version 1 is the retired frame without a ring-id.
+  for (int version : {0, 1, 3, 99}) {
+    Bytes framed = frame(7, 1, Bytes{9});
+    framed[1] = static_cast<std::uint8_t>(version);
+    DecodeError error{};
+    EXPECT_EQ(decode_frame_any(framed, &error), std::nullopt);
+    EXPECT_EQ(error, DecodeError::kBadVersion) << version;
+  }
 }
 
 TEST(FrameV2, EveryTruncationRejected) {
-  const Bytes framed = encode_frame_v2(100000, 2, Bytes{5, 6, 7, 8});
+  const Bytes framed = frame(100000, 2, Bytes{5, 6, 7, 8});
   for (std::size_t len = 0; len < framed.size(); ++len) {
     DecodeError error{};
     EXPECT_EQ(decode_frame_any(ByteView(framed.data(), len), &error),
@@ -201,20 +132,31 @@ TEST(FrameV2, EveryTruncationRejected) {
   }
 }
 
+TEST(FrameV2, RejectsPayloadBitFlip) {
+  Bytes framed = frame(3, 1, Bytes{0xAA, 0xBB});
+  // Flip a payload bit; the CRC must catch it.
+  framed[framed.size() - 5] ^= 0x01;
+  DecodeError error{};
+  EXPECT_EQ(decode_frame_any(framed, &error), std::nullopt);
+  EXPECT_EQ(error, DecodeError::kBadChecksum);
+}
+
 TEST(FrameV2, CorruptBitsDetectedOrHarmless) {
-  // Same CRC property as v1: flipped bits either fail the decode or leave
-  // the content untouched — never a *different* ring/sender/payload.
+  // Property: a frame with a few flipped bits either fails to decode, or
+  // (vanishingly unlikely with CRC-32, impossible for 1-2 flips) decodes to
+  // the original content. It must never decode to a *different* ring,
+  // sender or payload.
   Rng rng(123);
   const core::SsrState state{4, false, true};
-  const Bytes payload = encode_state(state);
+  const Bytes payload = payload_of(state);
   for (int trial = 0; trial < 2000; ++trial) {
-    Bytes framed = encode_frame_v2(991, 2, payload);
+    Bytes framed = frame(991, 2, payload);
     corrupt_bits(framed, rng, 1 + rng.below(3));
-    const auto frame = decode_frame_any(framed);
-    if (!frame.has_value()) continue;
-    EXPECT_EQ(frame->ring_id, 991u);
-    EXPECT_EQ(frame->sender, 2u);
-    EXPECT_EQ(frame->payload, payload);
+    const auto decoded = decode_frame_any(framed);
+    if (!decoded.has_value()) continue;
+    EXPECT_EQ(decoded->ring_id, 991u);
+    EXPECT_EQ(decoded->sender, 2u);
+    EXPECT_EQ(decoded->payload, payload);
   }
 }
 
@@ -249,45 +191,35 @@ TEST(FrameV2, ArenaAppendedFramesDecodeIndividually) {
   EXPECT_EQ(second->payload, (Bytes{0xBB, 0xCC}));
 }
 
-/// decode_frame_view() must agree with the copying decoders on @p data: the
-/// same verdict and DecodeError as decode_frame_any(), equal fields and
-/// payload bytes, and a payload view inside @p data. decode_frame() accepts
-/// exactly the valid v1 frames, with the same payload.
+/// decode_frame_view() must agree with the copying decode_frame_any() on
+/// @p data: the same verdict and DecodeError, equal fields and payload
+/// bytes, and a payload view inside @p data.
 void expect_view_agrees(ByteView data) {
-  DecodeError any_error{}, view_error{}, v1_error{};
+  DecodeError any_error{}, view_error{};
   const auto any = decode_frame_any(data, &any_error);
   const auto view = decode_frame_view(data, &view_error);
-  const auto v1 = decode_frame(data, &v1_error);
   ASSERT_EQ(view.has_value(), any.has_value());
   EXPECT_EQ(view_error, any_error);
-  EXPECT_EQ(v1.has_value(), view.has_value() && view->version == kVersion);
   if (!view) return;
-  EXPECT_EQ(view->version, any->version);
   EXPECT_EQ(view->ring_id, any->ring_id);
   EXPECT_EQ(view->sender, any->sender);
   EXPECT_EQ(Bytes(view->payload.begin(), view->payload.end()), any->payload);
   EXPECT_GE(view->payload.data(), data.data());
   EXPECT_LE(view->payload.data() + view->payload.size(),
             data.data() + data.size());
-  if (v1) {
-    EXPECT_EQ(v1->payload, any->payload);
-  }
 }
 
 TEST(FrameView, AgreesOnEveryTruncationAndBitFlip) {
-  const Bytes payload{5, 6, 7, 8};
-  for (const Bytes& framed :
-       {encode_frame(3, payload), encode_frame_v2(100000, 2, payload)}) {
-    for (std::size_t len = 0; len <= framed.size(); ++len) {
-      SCOPED_TRACE("prefix of length " + std::to_string(len));
-      expect_view_agrees(ByteView(framed.data(), len));
-    }
-    for (std::size_t bit = 0; bit < framed.size() * 8; ++bit) {
-      SCOPED_TRACE("bit " + std::to_string(bit));
-      Bytes flipped = framed;
-      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-      expect_view_agrees(flipped);
-    }
+  const Bytes framed = frame(100000, 2, Bytes{5, 6, 7, 8});
+  for (std::size_t len = 0; len <= framed.size(); ++len) {
+    SCOPED_TRACE("prefix of length " + std::to_string(len));
+    expect_view_agrees(ByteView(framed.data(), len));
+  }
+  for (std::size_t bit = 0; bit < framed.size() * 8; ++bit) {
+    SCOPED_TRACE("bit " + std::to_string(bit));
+    Bytes flipped = framed;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    expect_view_agrees(flipped);
   }
 }
 
@@ -300,7 +232,7 @@ TEST(FrameView, AgreesOnRandomGarbage) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.below(256));
     if (junk.size() >= 2 && trial % 2 == 0) {
       junk[0] = kMagic;
-      junk[1] = static_cast<std::uint8_t>(1 + rng.below(2));
+      junk[1] = kVersion2;
     }
     expect_view_agrees(junk);
   }
@@ -310,7 +242,7 @@ TEST(StatePayload, SsrRoundTrip) {
   for (std::uint32_t x : {0u, 1u, 127u, 128u, 1000000u}) {
     for (int flags = 0; flags < 4; ++flags) {
       const core::SsrState s{x, (flags & 2) != 0, (flags & 1) != 0};
-      const auto back = decode_ssr_state(encode_state(s));
+      const auto back = decode_state<core::SsrState>(payload_of(s));
       ASSERT_TRUE(back.has_value());
       EXPECT_EQ(*back, s);
     }
@@ -321,18 +253,19 @@ TEST(StatePayload, SsrRejectsBadFlags) {
   Bytes payload;
   put_varint(payload, 3);
   payload.push_back(7);  // flags > 3
-  EXPECT_EQ(decode_ssr_state(payload), std::nullopt);
+  EXPECT_EQ(decode_state<core::SsrState>(payload), std::nullopt);
 }
 
 TEST(StatePayload, SsrRejectsTrailingBytes) {
-  Bytes payload = encode_state(core::SsrState{1, false, true});
+  Bytes payload = payload_of(core::SsrState{1, false, true});
   payload.push_back(0);
-  EXPECT_EQ(decode_ssr_state(payload), std::nullopt);
+  EXPECT_EQ(decode_state<core::SsrState>(payload), std::nullopt);
 }
 
 TEST(StatePayload, KStateRoundTrip) {
   for (std::uint32_t x : {0u, 5u, 4096u}) {
-    const auto back = decode_kstate(encode_state(dijkstra::KStateLocal{x}));
+    const auto back = decode_state<dijkstra::KStateLocal>(
+        payload_of(dijkstra::KStateLocal{x}));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->x, x);
   }
@@ -340,7 +273,7 @@ TEST(StatePayload, KStateRoundTrip) {
 
 TEST(StatePayload, DualRoundTrip) {
   const dijkstra::DualLocal s{3, 900};
-  const auto back = decode_dual(encode_state(s));
+  const auto back = decode_state<dijkstra::DualLocal>(payload_of(s));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, s);
 }
@@ -348,7 +281,14 @@ TEST(StatePayload, DualRoundTrip) {
 TEST(StatePayload, DualRejectsTruncation) {
   Bytes payload;
   put_varint(payload, 3);  // only one of the two counters
-  EXPECT_EQ(decode_dual(payload), std::nullopt);
+  EXPECT_EQ(decode_state<dijkstra::DualLocal>(payload), std::nullopt);
+}
+
+TEST(StatePayload, PutStateAppends) {
+  Bytes payload;
+  put_varint(payload, 2);  // the reactor's destination varint
+  put_state(payload, dijkstra::DualLocal{3, 900});
+  EXPECT_EQ(payload, (Bytes{2, 3, 0x84, 0x07}));
 }
 
 TEST(CorruptBits, RequiresNonEmptyFrame) {

@@ -80,9 +80,9 @@
 #include "inclusion/camera.hpp"
 #include "msgpass/factories.hpp"
 #include "msgpass/timeline.hpp"
-#include "runtime/factories.hpp"
 #include "runtime/reactor.hpp"
 #include "runtime/telemetry.hpp"
+#include "runtime/threaded_ring.hpp"
 #include "sim/batch_dispatch.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/sweep.hpp"
@@ -271,8 +271,15 @@ int cmd_check(int argc, char** argv) {
               << " (auto | watch-lists | csr-free | spill)\n";
     return 2;
   }
-  options.memory_budget_bytes = static_cast<std::uint64_t>(
-      std::atoll(value_of(argc, argv, "--budget", "0")));
+  const char* budget = value_of(argc, argv, "--budget", "0");
+  char* budget_end = nullptr;
+  const long long budget_bytes = std::strtoll(budget, &budget_end, 10);
+  if (budget_end == budget || *budget_end != '\0' || budget_bytes < 0) {
+    std::cerr << "--budget needs a byte count >= 0 (0 = the default), got \""
+              << budget << "\"\n";
+    return 2;
+  }
+  options.memory_budget_bytes = static_cast<std::uint64_t>(budget_bytes);
   options.spill_dir = value_of(argc, argv, "--tmpdir", "");
   const std::string phase_a = value_of(argc, argv, "--phase-a", "auto");
   if (phase_a == "auto") {
@@ -561,21 +568,20 @@ int cmd_run_threaded(int argc, char** argv) {
   const std::string faults = value_of(argc, argv, "--fault-plan", "");
   params.fault_plan = runtime::FaultPlan::parse(faults);
 
-  auto observe = [duration](auto ring) {
-    ring->start();
-    runtime::Telemetry t = ring->observe(duration);
-    ring->stop();
+  auto observe = [&](const auto& protocol, auto initial) {
+    runtime::ThreadedRing ring(protocol, std::move(initial), params);
+    ring.start();
+    runtime::Telemetry t = ring.observe(duration);
+    ring.stop();
     return t;
   };
   runtime::Telemetry telemetry(n);
   if (algo == "ssrmin") {
     const core::SsrMinRing ring(n, k);
-    telemetry = observe(runtime::make_ssrmin_threaded(
-        ring, core::canonical_legitimate(ring, 0), params));
+    telemetry = observe(ring, core::canonical_legitimate(ring, 0));
   } else if (algo == "dijkstra") {
     const dijkstra::KStateRing ring(n, k);
-    telemetry = observe(runtime::make_kstate_threaded(
-        ring, dijkstra::KStateConfig(n), params));
+    telemetry = observe(ring, dijkstra::KStateConfig(n));
   } else {
     std::cerr << "unknown --algo: " << algo << '\n';
     return 2;
