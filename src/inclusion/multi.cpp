@@ -1,5 +1,6 @@
 #include "inclusion/multi.hpp"
 
+#include "stabilizing/cst_node.hpp"
 #include "util/assert.hpp"
 
 namespace ssr::incl {
@@ -36,12 +37,7 @@ MultiSsrMin::State MultiSsrMin::apply(std::size_t i, int rule,
               "rule applied while disabled");
   State next = self;
   for (std::size_t j = 0; j < instances_; ++j) {
-    const int sub =
-        ring_.enabled_rule(i, self.slots[j], pred.slots[j], succ.slots[j]);
-    if (sub != stab::kDisabled) {
-      next.slots[j] =
-          ring_.apply(i, sub, self.slots[j], pred.slots[j], succ.slots[j]);
-    }
+    stab::fire(ring_, i, next.slots[j], pred.slots[j], succ.slots[j]);
   }
   return next;
 }
@@ -52,8 +48,7 @@ std::size_t MultiSsrMin::tokens_at(std::size_t i, const State& self,
   check_state(self);
   std::size_t count = 0;
   for (std::size_t j = 0; j < instances_; ++j) {
-    if (ring_.holds_primary(i, self.slots[j], pred.slots[j]) ||
-        ring_.holds_secondary(self.slots[j], succ.slots[j])) {
+    if (ring_.holds_token(i, self.slots[j], pred.slots[j], succ.slots[j])) {
       ++count;
     }
   }
