@@ -4,16 +4,21 @@
 // node-state work, not by an O(n) holder scan per event. The table sweeps
 // the ring size through 10^4 / 10^5 / 10^6 nodes at one and several
 // workers and reports events/sec, wall ns per event (how the per-event
-// cost grows with the ring) and wall time; every statistic column must be
-// identical across the worker counts of a given size (the engine's
-// byte-identity contract, pinned by tests/test_cst_parallel.cpp). Each
-// row records the host's hardware thread count (`nproc`), so a row whose
-// workers outnumber the cores that ran it says so.
+// cost grows with the ring) and wall time. Each (n, workers) cell runs
+// kRuns times, the worker counts alternating, and its row gives the median
+// wall time (`runs` says how many); a single run on a shared host swings
+// by up to 5x with several workers. Every statistic column must be
+// identical across all runs of a given size, at every worker count (the
+// engine's byte-identity contract, pinned by tests/test_cst_parallel.cpp);
+// otherwise the bench exits 1. Each row records the host's hardware
+// thread count (`nproc`), so a row whose workers outnumber the cores that
+// ran it says so.
 //
-//   --smoke        tiny run for CI gating (exit 1 if the 1-vs-2 worker
-//                  statistics diverge)
+//   --smoke        tiny run for CI gating, one run per cell (exit 1 if the
+//                  1-vs-2 worker statistics diverge)
 //   --workers W    extra worker count to bench next to the serial row
 //                  (default 4; also SSRING_BENCH_THREADS)
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -62,21 +67,31 @@ RunResult run_ssrmin(std::size_t n, double duration, std::size_t workers) {
   return r;
 }
 
+constexpr std::size_t kRuns = 3;
+
+/// One row for runs of one (n, workers) cell with identical statistics:
+/// the wall time, events/sec and ns/event of the median run.
 void add_row(TextTable& table, std::size_t n, double duration,
-             const RunResult& r) {
-  const double secs = r.wall_ms / 1000.0;
+             const std::vector<RunResult>& runs) {
+  std::vector<double> walls;
+  for (const RunResult& run : runs) walls.push_back(run.wall_ms);
+  std::sort(walls.begin(), walls.end());
+  const double wall_ms = walls[walls.size() / 2];
+  const RunResult& r = runs.front();
+  const double secs = wall_ms / 1000.0;
   const auto events = static_cast<double>(r.stats.events);
   const double eps = secs > 0.0 ? events / secs : 0.0;
-  const double ns_per_event = events > 0.0 ? r.wall_ms * 1e6 / events : 0.0;
+  const double ns_per_event = events > 0.0 ? wall_ms * 1e6 / events : 0.0;
   table.row()
       .cell(n)
       .cell(r.workers)
       .cell(static_cast<std::size_t>(std::thread::hardware_concurrency()))
+      .cell(runs.size())
       .cell(duration, 0)
       .cell(r.stats.events)
       .cell(eps, 0)
       .cell(ns_per_event, 1)
-      .cell(r.wall_ms, 1)
+      .cell(wall_ms, 1)
       .cell(100.0 * r.stats.coverage(), 2)
       .cell(r.stats.min_holders)
       .cell(r.stats.max_holders)
@@ -153,27 +168,33 @@ int main(int argc, char** argv) {
                                     {1'000'000, 8.0}}
           : std::vector<ScalePoint>{{10'000, 40.0}, {100'000, 8.0}};
 
-  TextTable table({"n", "workers", "nproc", "duration", "events",
+  TextTable table({"n", "workers", "nproc", "runs", "duration", "events",
                    "events_per_sec", "ns_per_event", "wall ms", "coverage %",
                    "min holders", "max holders", "handovers"});
+  std::vector<std::size_t> worker_counts{1};
+  if (extra_workers > 1) worker_counts.push_back(extra_workers);
   for (const ScalePoint& p : points) {
-    const RunResult serial = run_ssrmin(p.n, p.duration, 1);
-    add_row(table, p.n, p.duration, serial);
-    if (extra_workers > 1) {
-      const RunResult sharded = run_ssrmin(p.n, p.duration, extra_workers);
-      add_row(table, p.n, p.duration, sharded);
-      if (!same_stats(serial.stats, sharded.stats)) {
-        std::cerr << "ERROR: n=" << p.n << " statistics diverge between 1 and "
-                  << sharded.workers << " workers\n";
-        return 1;
+    std::vector<std::vector<RunResult>> cells(worker_counts.size());
+    for (std::size_t run = 0; run < kRuns; ++run) {
+      for (std::size_t c = 0; c < worker_counts.size(); ++c) {
+        cells[c].push_back(run_ssrmin(p.n, p.duration, worker_counts[c]));
+        const RunResult& last = cells[c].back();
+        if (!same_stats(cells[0][0].stats, last.stats)) {
+          std::cerr << "ERROR: n=" << p.n << " statistics diverge between "
+                    << "run 1 at 1 worker and run " << run + 1 << " at "
+                    << last.workers << " workers\n";
+          return 1;
+        }
       }
     }
+    for (const auto& cell : cells) add_row(table, p.n, p.duration, cell);
   }
   std::cout << table.render() << '\n';
   bench::maybe_export(table, "cst");
   std::cout << "expectation: every statistic column is identical across the "
-               "worker counts of a size (rows differ only in wall ms / "
-               "events_per_sec); coverage stays 100% with holders in [1,2] "
+               "runs and worker counts of a size (rows differ only in wall "
+               "ms / events_per_sec / ns_per_event, each the median of "
+               "`runs` runs); coverage stays 100% with holders in [1,2] "
                "from the legitimate start.\n";
   return 0;
 }

@@ -323,8 +323,8 @@ class EventHeap {
 };
 
 /// A shard's event queue: a calendar queue (Brown, CACM 1988) with a
-/// ladder queue's overflow tier (Tang, Goh & Thng, ACM TOMACS 2005). It
-/// pops HeapRecs in exact (time, order) key order.
+/// ladder queue's overflow tier and second rung (Tang, Goh & Thng, ACM
+/// TOMACS 2005). It pops HeapRecs in exact (time, order) key order.
 ///
 /// Time is cut into buckets of a fixed width: a record at time t lies in
 /// bucket floor(t / width), a monotone function of t, so a record in a
@@ -332,7 +332,10 @@ class EventHeap {
 /// sit in one of four places:
 ///
 ///   * the current bucket, sorted on the key once, when it becomes
-///     current, and then consumed front to back;
+///     current, and then consumed front to back. A large bucket is sorted
+///     in linear time: a counting sort spreads it over sub-buckets of
+///     about four records each (the ladder's second rung), and only those
+///     short runs are sorted on the key;
 ///   * the late heap: records pushed into or before the current bucket.
 ///     The engine pushes few, as its delays are mostly many buckets long;
 ///     boundary deliveries landing in the current bucket are the usual
@@ -368,14 +371,16 @@ class EventQueue {
                 "bucket count must be a power of two >= 2");
   }
 
-  /// Sizes the chunk pool for @p records live records and the current
-  /// bucket for @p bucket_records, so that neither grows in steady state
-  /// (growth would happen on a worker thread, in its own malloc arena).
+  /// Sizes the chunk pool for @p records live records, and the current
+  /// bucket and its sub-bucket counts for @p bucket_records, so that none
+  /// grows in steady state (growth would happen on a worker thread, in its
+  /// own malloc arena).
   void reserve(std::size_t records, std::size_t bucket_records) {
     const std::size_t chunks = records / kChunk + ring_.size();
     chunks_.reserve(chunks);
     chunk_next_.reserve(chunks);
     current_.reserve(bucket_records);
+    sub_end_.reserve(sub_buckets(bucket_records) + 1);
   }
 
   bool empty() const { return size_ == 0; }
@@ -411,6 +416,8 @@ class EventQueue {
 
  private:
   static constexpr std::size_t kChunk = 16;
+  /// Longest run sorted by insertion. A bucket this small is one run.
+  static constexpr std::size_t kRun = 32;
   static constexpr std::uint32_t kNoChunk =
       std::numeric_limits<std::uint32_t>::max();
   /// Bucket of every time at or past 2^62 buckets: keeps the index in
@@ -512,24 +519,102 @@ class EventQueue {
     ++ring_count_;
   }
 
-  /// Moves the bucket in ring slot @p slot into current_, returns its
-  /// chunks to the pool and sorts it.
-  void load(std::size_t slot) {
-    Bucket& b = ring_[slot];
+  /// Sub-buckets a bucket of @p count records is cut into: about four
+  /// records each, a power of two.
+  static std::size_t sub_buckets(std::size_t count) {
+    return std::bit_ceil(count / 4);
+  }
+
+  /// Calls @p f(recs, fill) on each chunk of bucket @p b, head first; with
+  /// @p release, returns each chunk to the pool after the call.
+  template <typename F>
+  void for_each_chunk(const Bucket& b, bool release, F&& f) {
     std::size_t fill = (b.count - 1) % kChunk + 1;  // the head chunk's
     for (std::uint32_t c = b.head; c != kNoChunk;) {
-      const HeapRec* recs = chunks_[c].recs.data();
-      current_.insert(current_.end(), recs, recs + fill);
+      f(chunks_[c].recs.data(), fill);
       const std::uint32_t next = chunk_next_[c];
-      chunk_next_[c] = free_;
-      free_ = c;
+      if (release) {
+        chunk_next_[c] = free_;
+        free_ = c;
+      }
       c = next;
       fill = kChunk;
     }
-    ring_count_ -= b.count;
+  }
+
+  /// Moves the bucket in ring slot @p slot into current_, sorted, and
+  /// returns its chunks to the pool. A bucket of more than kRun records
+  /// is counting-sorted into S sub-buckets of equal time width first: a
+  /// record goes to floor((t / width - cur_) * S), bucket_of's own
+  /// product, so the index never decreases as t grows and equal times
+  /// share a sub-bucket. It is clamped to [0, S - 1], which also gathers
+  /// the far bucket's records, at any distance past 2^62 buckets. One
+  /// pass counts the sub-buckets, a prefix sum places them and a second
+  /// pass scatters the records; each sub-bucket is then sorted as a run.
+  void load(std::size_t slot) {
+    Bucket& b = ring_[slot];
+    const std::size_t count = b.count;
+    if (count <= kRun) {
+      for_each_chunk(b, true, [this](const HeapRec* recs, std::size_t fill) {
+        current_.insert(current_.end(), recs, recs + fill);
+      });
+      sort_run(current_.data(), current_.data() + count);
+    } else {
+      const std::size_t subs = sub_buckets(count);
+      const double base = static_cast<double>(cur_);
+      const double scale = static_cast<double>(subs);
+      const double last = scale - 1.0;
+      // A local copy: the scatter's stores of doubles could alias a member.
+      const double inv_width = inv_width_;
+      const auto sub_of = [=](const HeapRec& rec) -> std::size_t {
+        const double y = (rec.time * inv_width - base) * scale;
+        return y > 0.0 ? static_cast<std::size_t>(std::min(y, last)) : 0;
+      };
+      // Counts land one slot up, so the prefix sum leaves each
+      // sub-bucket's start in sub_end_[j]; the scatter then advances it
+      // to the sub-bucket's end.
+      sub_end_.assign(subs + 1, 0);
+      for_each_chunk(b, false, [&](const HeapRec* recs, std::size_t fill) {
+        for (std::size_t i = 0; i < fill; ++i) ++sub_end_[sub_of(recs[i]) + 1];
+      });
+      for (std::size_t j = 1; j < subs; ++j) sub_end_[j] += sub_end_[j - 1];
+      current_.resize(count);
+      HeapRec* const out = current_.data();
+      for_each_chunk(b, true, [&](const HeapRec* recs, std::size_t fill) {
+        for (std::size_t i = 0; i < fill; ++i) {
+          out[sub_end_[sub_of(recs[i])]++] = recs[i];
+        }
+      });
+      std::size_t begin = 0;
+      for (std::size_t j = 0; j < subs; ++j) {
+        sort_run(out + begin, out + sub_end_[j]);
+        begin = sub_end_[j];
+      }
+    }
+    ring_count_ -= count;
     b = Bucket{};
     occupied_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
-    std::sort(current_.begin(), current_.end(), key_before);
+  }
+
+  /// Sorts [first, last) on the key: by insertion up to kRun records, and
+  /// with std::sort beyond (a cluster of equal times, which
+  /// NetworkParams allows with delay_min == delay_max).
+  static void sort_run(HeapRec* first, HeapRec* last) {
+    const auto len = static_cast<std::size_t>(last - first);
+    if (len > kRun) {
+      std::sort(first, last, [](const HeapRec& a, const HeapRec& b) {
+        return key_before(a, b);
+      });
+      return;
+    }
+    for (std::size_t i = 1; i < len; ++i) {
+      const HeapRec rec = first[i];
+      std::size_t j = i;
+      for (; j > 0 && key_before(rec, first[j - 1]); --j) {
+        first[j] = first[j - 1];
+      }
+      first[j] = rec;
+    }
   }
 
   double inv_width_;
@@ -547,6 +632,7 @@ class EventQueue {
   std::vector<Chunk> chunks_;
   std::vector<std::uint32_t> chunk_next_;  ///< bucket list or free list
   std::uint32_t free_ = kNoChunk;
+  std::vector<std::uint32_t> sub_end_;  ///< load()'s sub-bucket bounds
 };
 
 /// Free-list slab of by-value payloads, one per in-flight message copy.

@@ -7,10 +7,15 @@
 // drained), the overflow tier (exponential tails, times far beyond the
 // ring), the occupancy bitmap (a few records on a 16,384-bucket ring), a
 // queue drained empty and refilled much later, and 10^5 records pushed
-// before the first pop, as the engine's start() does.
+// before the first pop, as the engine's start() does. The last four aim at
+// the counting sort that orders a bucket of more than 32 records through
+// sub-buckets: one bucket of 10^5 records, 10^5 records at one time (a
+// single run, sorted by comparison), records on a bucket's two edges, and
+// records past 2^62 buckets, which all share the far bucket.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <queue>
 #include <stdexcept>
@@ -263,6 +268,54 @@ TEST(EventQueue, MatchesPriorityQueueAfterAHundredThousandPushesBeforeThePop) {
                        : 8.0 * (0.9 + 0.2 * d.rng().uniform01())));
   }
   d.drain();
+}
+
+TEST(EventQueue, MatchesPriorityQueueOnOneBucketOfAHundredThousandRecords) {
+  // 10^5 uniform times in bucket [2, 3): 2^15 sub-buckets of about three
+  // records each.
+  Differential d(10, 1.0, 8);
+  for (int i = 0; i < 100000; ++i) d.push_at(2.0 + d.rng().uniform01());
+  d.drain();
+  EXPECT_EQ(d.pops(), 100000u);
+}
+
+TEST(EventQueue, MatchesPriorityQueueOnAHundredThousandRecordsAtOneTime) {
+  // One time, distinct orders: every record falls into one sub-bucket,
+  // so the bucket is a single run of 10^5 records.
+  Differential d(11, 1.0, 8);
+  for (int i = 0; i < 100000; ++i) d.push_at(2.5);
+  d.drain();
+  EXPECT_EQ(d.pops(), 100000u);
+}
+
+TEST(EventQueue, MatchesPriorityQueueOnABucketsEdges) {
+  // More than 32 records exactly on bucket 5's lower edge, and as many
+  // one ulp below its upper edge, which land in the first and the last
+  // sub-bucket; with a width of 0.1, t / width rounds, so the edge records
+  // may also fall into the neighbouring buckets.
+  for (const double width : {0.25, 0.1}) {
+    Differential d(12, width, 16);
+    const double lower = 5.0 * width;
+    const double upper = std::nextafter(6.0 * width, 0.0);
+    for (int i = 0; i < 40; ++i) d.push_at(lower);
+    for (int i = 0; i < 40; ++i) d.push_at(upper);
+    for (int i = 0; i < 40; ++i) d.push_at(lower + width * d.rng().uniform01());
+    d.drain();
+    EXPECT_EQ(d.pops(), 120u);
+  }
+}
+
+TEST(EventQueue, MatchesPriorityQueueInTheFarBucket) {
+  // Times at and past 2^62 buckets all map to the far bucket; the
+  // sub-bucket index of each is clamped to the last one, except 2^62
+  // itself, which opens the bucket.
+  Differential d(13, 1.0, 16);
+  for (int j = 1; j <= 64; ++j) d.push_at(1e300 * j);
+  for (int j = 1; j <= 8; ++j) d.push_at(1e300 * j);  // equal times
+  d.push_at(0x1.0p62);
+  d.push_at(3.0);
+  d.drain();
+  EXPECT_EQ(d.pops(), 74u);
 }
 
 TEST(EventQueue, EmptyAndSingleRecord) {

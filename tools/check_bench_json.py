@@ -153,10 +153,12 @@ def check_multiring_rows(name: str, doc, problems: list[str]) -> None:
 def check_cst_rows(name: str, doc, problems: list[str]) -> None:
     """BENCH_cst.json must chart the sharded-engine scaling claim: at
     least three scale rows, each carrying ``n``, ``workers``, ``nproc``,
-    ``events_per_sec`` and ``ns_per_event``. A rerun that dropped the
-    million-node row, renamed the throughput or per-event cost column or
-    lost the host's core count (which tells a multi-worker row measured on
-    fewer cores than workers) fails CI here instead of shipping a
+    ``runs``, ``events_per_sec`` and ``ns_per_event``, with ``runs`` >= 3
+    (each row is the median of that many runs; one run on a shared host
+    swings by up to 5x). A rerun that dropped the million-node row,
+    renamed the throughput or per-event cost column, lost the host's core
+    count (which tells a multi-worker row measured on fewer cores than
+    workers) or timed single runs fails CI here instead of shipping a
     trajectory that no longer backs E28."""
     if not isinstance(doc, list):
         problems.append(f"{name}: expected a row list of scale points")
@@ -165,12 +167,22 @@ def check_cst_rows(name: str, doc, problems: list[str]) -> None:
         problems.append(
             f"{name}: only {len(doc)} scale rows; need >= 3 (10^4/10^5/10^6)")
         return
-    required = ("n", "workers", "nproc", "events_per_sec", "ns_per_event")
+    required = ("n", "workers", "nproc", "runs", "events_per_sec",
+                "ns_per_event")
     for i, row in enumerate(doc):
         missing = [k for k in required
                    if not isinstance(row, dict) or k not in row]
         if missing:
             problems.append(f"{name}: row {i} lacks columns {missing}")
+            return
+        try:
+            runs = int(row["runs"])
+        except (TypeError, ValueError):
+            runs = 0
+        if runs < 3:
+            problems.append(
+                f"{name}: row {i} is the median of {row['runs']!r} runs; "
+                "need >= 3")
             return
 
 

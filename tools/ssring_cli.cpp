@@ -64,11 +64,15 @@
 //       telemetry ('-' = stdout). Exits 0 iff every ring ends legitimate.
 //       One SSRmin ring over loopback UDP sockets with CRC-framed wire
 //       messages: --rings 1 --transport udp --start legit.
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "core/legitimacy.hpp"
@@ -115,26 +119,123 @@ bool has_flag(int argc, char** argv, const char* key) {
   return false;
 }
 
-std::size_t arg_n(int argc, char** argv, const char* fallback = "5") {
-  return static_cast<std::size_t>(std::atoi(value_of(argc, argv, "--n", fallback)));
+/// A flag value that does not parse or lies out of range; main() prints
+/// it and exits 2.
+struct BadFlag : std::runtime_error {
+  BadFlag(const char* key, const char* what, const char* text)
+      : std::runtime_error(std::string(key) + " needs " + what + ", got \"" +
+                           text + "\"") {}
+};
+
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kI64Max = std::numeric_limits<std::int64_t>::max();
+constexpr double kRealMax = std::numeric_limits<double>::max();
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+/// ThreadPool's cap on workers.
+constexpr std::uint64_t kMaxThreads = 1024;
+
+/// The value of numeric flag @p key, or nullptr when the flag is absent;
+/// given last with no value, it throws BadFlag.
+const char* numeric_value(int argc, char** argv, const char* key,
+                          const char* what) {
+  const char* text = value_of(argc, argv, key, nullptr);
+  if (text == nullptr && std::strcmp(argv[argc - 1], key) == 0) {
+    throw BadFlag(key, what, "");
+  }
+  return text;
+}
+
+/// Count flag @p key, or @p fallback when it is absent: decimal digits
+/// only (no sign, no space, no exponent) making up the whole value, in
+/// [lo, hi]; anything else throws BadFlag, which names @p what.
+std::uint64_t count_flag(int argc, char** argv, const char* key,
+                         std::uint64_t fallback, std::uint64_t lo,
+                         std::uint64_t hi, const char* what) {
+  const char* text = numeric_value(argc, argv, key, what);
+  if (text == nullptr) return fallback;
+  const char* end = text + std::strlen(text);
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
+    throw BadFlag(key, what, text);
+  }
+  return v;
+}
+
+/// Real flag @p key, or @p fallback when it is absent: a decimal or
+/// exponent number making up the whole value, finite, in [lo, hi].
+double real_flag(int argc, char** argv, const char* key, double fallback,
+                 double lo, double hi, const char* what) {
+  const char* text = numeric_value(argc, argv, key, what);
+  if (text == nullptr) return fallback;
+  const char* end = text + std::strlen(text);
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v < lo ||
+      v > hi) {
+    throw BadFlag(key, what, text);
+  }
+  return v;
+}
+
+/// --n; K = n + 1 must fit in 32 bits.
+std::size_t arg_n(int argc, char** argv, std::uint64_t fallback = 5) {
+  return count_flag(argc, argv, "--n", fallback, 1, kU32Max - 1,
+                    "a node count in [1, 2^32 - 2]");
+}
+
+/// --k, or 0 when it is absent (0 = the command's default modulus).
+std::uint32_t arg_k_or_0(int argc, char** argv) {
+  return static_cast<std::uint32_t>(
+      count_flag(argc, argv, "--k", 0, 0, kU32Max,
+                 "a modulus in [0, 2^32 - 1] (0 = n + 1)"));
 }
 
 std::uint32_t arg_k(int argc, char** argv, std::size_t n) {
-  const int k = std::atoi(value_of(argc, argv, "--k", "0"));
-  return k > 0 ? static_cast<std::uint32_t>(k)
-               : static_cast<std::uint32_t>(n + 1);
+  const std::uint32_t k = arg_k_or_0(argc, argv);
+  return k > 0 ? k : static_cast<std::uint32_t>(n + 1);
 }
 
 std::uint64_t arg_seed(int argc, char** argv) {
-  return static_cast<std::uint64_t>(
-      std::atoll(value_of(argc, argv, "--seed", "1")));
+  return count_flag(argc, argv, "--seed", 1, 0, kU64Max,
+                    "a seed in [0, 2^64 - 1]");
+}
+
+/// --threads or --workers: 0 = one per hardware thread.
+std::size_t arg_threads(int argc, char** argv, const char* key,
+                        std::uint64_t fallback) {
+  return count_flag(argc, argv, key, fallback, 0, kMaxThreads,
+                    "a thread count in [0, 1024] (0 = one per hardware "
+                    "thread)");
+}
+
+/// --duration-ms of the runtimes; its microseconds must fit in 64 bits.
+std::chrono::milliseconds arg_duration_ms(int argc, char** argv,
+                                          std::uint64_t fallback) {
+  return std::chrono::milliseconds(count_flag(
+      argc, argv, "--duration-ms", fallback, 1, kI64Max / 1000,
+      "a whole number of milliseconds (the run duration must be positive)"));
+}
+
+std::chrono::microseconds arg_refresh_us(int argc, char** argv,
+                                         std::uint64_t fallback) {
+  return std::chrono::microseconds(count_flag(
+      argc, argv, "--refresh-us", fallback, 1, kI64Max,
+      "a refresh interval of at least 1 microsecond"));
+}
+
+/// --duration of the simulators, in ticks.
+double arg_duration(int argc, char** argv, double fallback) {
+  return real_flag(argc, argv, "--duration", fallback, kPositive, kRealMax,
+                   "a duration > 0");
 }
 
 int cmd_trace(int argc, char** argv) {
   const std::size_t n = arg_n(argc, argv);
   const std::uint32_t K = arg_k(argc, argv, n);
-  const auto steps = static_cast<std::uint64_t>(
-      std::atoll(value_of(argc, argv, "--steps", "20")));
+  const std::uint64_t steps =
+      count_flag(argc, argv, "--steps", 20, 0, kU64Max, "a step count");
   const std::string daemon_name =
       value_of(argc, argv, "--daemon", "central-round-robin");
   const std::string start = value_of(argc, argv, "--start", "legit");
@@ -166,14 +267,14 @@ int cmd_trace(int argc, char** argv) {
 }
 
 int cmd_converge(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "16");
+  const std::size_t n = arg_n(argc, argv, 16);
   const std::uint32_t K = arg_k(argc, argv, n);
-  const int trials = std::atoi(value_of(argc, argv, "--trials", "50"));
+  const std::uint64_t trials = count_flag(argc, argv, "--trials", 50, 1,
+                                          kU64Max, "a trial count >= 1");
   const std::string daemon_name =
       value_of(argc, argv, "--daemon", "distributed-random-subset");
   sim::SweepOptions sweep_options;
-  sweep_options.threads = static_cast<std::size_t>(
-      std::atoi(value_of(argc, argv, "--threads", "0")));
+  sweep_options.threads = arg_threads(argc, argv, "--threads", 0);
   // --batched on|off (default on): bit-sliced 64-lane execution whenever
   // the requested daemon has a lane replay; the statistics are identical
   // either way (the lanes replay the scalar trials draw-for-draw).
@@ -193,7 +294,7 @@ int cmd_converge(int argc, char** argv) {
   if (use_batch) {
     const auto spec = sim::lane_daemon_spec(daemon_name);
     const auto blocks =
-        sim::plan_blocks(static_cast<std::uint64_t>(trials), sweep.threads(),
+        sim::plan_blocks(trials, sweep.threads(),
                          util::lane_backend_lanes(backend));
     const auto per_block = sweep.map(blocks.size(), [&](std::uint64_t b) {
       return sim::run_convergence_block_ssrmin(ring, spec, seed, blocks[b],
@@ -209,7 +310,7 @@ int cmd_converge(int argc, char** argv) {
     }
   } else {
     results = sweep.run_trials(
-        seed, static_cast<std::uint64_t>(trials),
+        seed, trials,
         [&](std::uint64_t, Rng& rng) {
           stab::Engine<core::SsrMinRing> engine(
               ring, core::random_config(ring, rng));
@@ -251,12 +352,11 @@ int cmd_converge(int argc, char** argv) {
 }
 
 int cmd_check(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "3");
+  const std::size_t n = arg_n(argc, argv, 3);
   const std::uint32_t K = arg_k(argc, argv, n);
   const std::string protocol = value_of(argc, argv, "--protocol", "ssrmin");
   verify::CheckOptions options;
-  options.threads = static_cast<std::size_t>(
-      std::atoi(value_of(argc, argv, "--threads", "0")));
+  options.threads = arg_threads(argc, argv, "--threads", 0);
   const std::string mode = value_of(argc, argv, "--mode", "auto");
   if (mode == "auto") {
     options.storage = verify::PhaseBStorage::kAuto;
@@ -271,15 +371,9 @@ int cmd_check(int argc, char** argv) {
               << " (auto | watch-lists | csr-free | spill)\n";
     return 2;
   }
-  const char* budget = value_of(argc, argv, "--budget", "0");
-  char* budget_end = nullptr;
-  const long long budget_bytes = std::strtoll(budget, &budget_end, 10);
-  if (budget_end == budget || *budget_end != '\0' || budget_bytes < 0) {
-    std::cerr << "--budget needs a byte count >= 0 (0 = the default), got \""
-              << budget << "\"\n";
-    return 2;
-  }
-  options.memory_budget_bytes = static_cast<std::uint64_t>(budget_bytes);
+  options.memory_budget_bytes =
+      count_flag(argc, argv, "--budget", 0, 0, kU64Max,
+                 "a byte count >= 0 (0 = the default)");
   options.spill_dir = value_of(argc, argv, "--tmpdir", "");
   const std::string phase_a = value_of(argc, argv, "--phase-a", "auto");
   if (phase_a == "auto") {
@@ -315,11 +409,11 @@ int cmd_check(int argc, char** argv) {
 }
 
 int cmd_modelgap(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "5");
+  const std::size_t n = arg_n(argc, argv, 5);
   const std::uint32_t K = arg_k(argc, argv, n);
-  const double delay = std::atof(value_of(argc, argv, "--delay", "1.0"));
-  const double duration =
-      std::atof(value_of(argc, argv, "--duration", "4000"));
+  const double delay = real_flag(argc, argv, "--delay", 1.0, kPositive,
+                                 kRealMax, "a delay > 0");
+  const double duration = arg_duration(argc, argv, 4000.0);
   msgpass::NetworkParams net;
   net.delay_min = 0.5 * delay;
   net.delay_max = delay;
@@ -327,8 +421,7 @@ int cmd_modelgap(int argc, char** argv) {
   net.seed = arg_seed(argc, argv);
   // Sharded engine: 0 = one worker per hardware thread. Statistics are
   // byte-identical at every worker count; this is a wall-clock knob.
-  net.workers = static_cast<std::size_t>(
-      std::atoi(value_of(argc, argv, "--workers", "1")));
+  net.workers = arg_threads(argc, argv, "--workers", 1);
 
   TextTable table({"algorithm", "coverage %", "zero intervals", "min holders",
                    "max holders", "handovers"});
@@ -365,10 +458,10 @@ int cmd_modelgap(int argc, char** argv) {
 }
 
 int cmd_timeline(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "5");
+  const std::size_t n = arg_n(argc, argv, 5);
   const std::uint32_t K = arg_k(argc, argv, n);
-  const auto cols = static_cast<std::size_t>(
-      std::atoi(value_of(argc, argv, "--cols", "96")));
+  const std::size_t cols = count_flag(argc, argv, "--cols", 96, 1, kU32Max,
+                                      "a column count in [1, 2^32 - 1]");
   const std::string algo = value_of(argc, argv, "--algo", "ssrmin");
   msgpass::NetworkParams net;
   net.seed = arg_seed(argc, argv);
@@ -405,8 +498,8 @@ int cmd_timeline(int argc, char** argv) {
 
 int cmd_camera(int argc, char** argv) {
   incl::CameraParams params;
-  params.node_count = arg_n(argc, argv, "8");
-  params.duration = std::atof(value_of(argc, argv, "--duration", "3000"));
+  params.node_count = arg_n(argc, argv, 8);
+  params.duration = arg_duration(argc, argv, 3000.0);
   params.net.seed = arg_seed(argc, argv);
   TextTable table({"policy", "coverage %", "blackouts", "mean active",
                    "energy", "min battery", "fairness"});
@@ -428,7 +521,7 @@ int cmd_camera(int argc, char** argv) {
 }
 
 int cmd_mis(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "9");
+  const std::size_t n = arg_n(argc, argv, 9);
   const std::string topo_name = value_of(argc, argv, "--topology", "ring");
   Rng rng(arg_seed(argc, argv));
   graph::Topology topo = [&]() {
@@ -464,7 +557,7 @@ int cmd_mis(int argc, char** argv) {
 }
 
 int cmd_markov(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "3");
+  const std::size_t n = arg_n(argc, argv, 3);
   const std::uint32_t K = arg_k(argc, argv, n);
   auto checker = verify::make_ssrmin_checker(n, K);
   verify::CheckOptions options;
@@ -484,7 +577,7 @@ int cmd_markov(int argc, char** argv) {
 }
 
 int cmd_perturb(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "3");
+  const std::size_t n = arg_n(argc, argv, 3);
   const std::uint32_t K = arg_k(argc, argv, n);
   const verify::PerturbationReport r = verify::analyze_single_faults(n, K);
   std::cout << r.summary() << "\nrecovery distribution:\n";
@@ -497,11 +590,11 @@ int cmd_perturb(int argc, char** argv) {
 }
 
 int cmd_tail(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "3");
+  const std::size_t n = arg_n(argc, argv, 3);
   const std::uint32_t K = arg_k(argc, argv, n);
-  const double spread = std::atof(value_of(argc, argv, "--spread", "3.0"));
-  const double duration =
-      std::atof(value_of(argc, argv, "--duration", "200000"));
+  const double spread =
+      real_flag(argc, argv, "--spread", 3.0, 0.0, kRealMax, "a spread >= 0");
+  const double duration = arg_duration(argc, argv, 200000.0);
   TextTable table({"delay model", "coverage %", "zero intervals",
                    "mean gap"});
   for (auto model : {msgpass::DelayModel::kUniform,
@@ -555,15 +648,13 @@ int cmd_run_threaded(int argc, char** argv) {
     std::cerr << "--loss is gone: use --fault-plan drop=P\n";
     return 2;
   }
-  const std::size_t n = arg_n(argc, argv, "5");
+  const std::size_t n = arg_n(argc, argv, 5);
   const std::uint32_t k = arg_k(argc, argv, n);
   const std::uint64_t seed = arg_seed(argc, argv);
-  const auto duration = std::chrono::milliseconds(
-      std::atoll(value_of(argc, argv, "--duration-ms", "400")));
+  const auto duration = arg_duration_ms(argc, argv, 400);
   const std::string algo = value_of(argc, argv, "--algo", "ssrmin");
   runtime::RuntimeParams params;
-  params.refresh_interval = std::chrono::microseconds(
-      std::atoll(value_of(argc, argv, "--refresh-us", "1000")));
+  params.refresh_interval = arg_refresh_us(argc, argv, 1000);
   params.seed = seed;
   const std::string faults = value_of(argc, argv, "--fault-plan", "");
   params.fault_plan = runtime::FaultPlan::parse(faults);
@@ -615,18 +706,14 @@ int cmd_run_threaded(int argc, char** argv) {
 
 int cmd_run_multi(int argc, char** argv) {
   runtime::ReactorConfig config;
-  config.rings = static_cast<std::size_t>(
-      std::atoll(value_of(argc, argv, "--rings", "256")));
-  config.nodes = arg_n(argc, argv, "4");
-  config.modulus = std::atoi(value_of(argc, argv, "--k", "0")) > 0
-                       ? static_cast<std::uint32_t>(
-                             std::atoi(value_of(argc, argv, "--k", "0")))
-                       : 0;
-  config.shards = static_cast<std::size_t>(
-      std::atoll(value_of(argc, argv, "--shards", "1")));
+  config.rings = count_flag(argc, argv, "--rings", 256, 1, kU64Max,
+                            "a ring count >= 1");
+  config.nodes = arg_n(argc, argv, 4);
+  config.modulus = arg_k_or_0(argc, argv);
+  config.shards = count_flag(argc, argv, "--shards", 1, 1, kU64Max,
+                             "a shard count >= 1");
   config.seed = arg_seed(argc, argv);
-  config.refresh_interval = std::chrono::microseconds(
-      std::atoll(value_of(argc, argv, "--refresh-us", "5000")));
+  config.refresh_interval = arg_refresh_us(argc, argv, 5000);
   config.fault_plan =
       runtime::FaultPlan::parse(value_of(argc, argv, "--fault-plan", ""));
   const std::string protocol = value_of(argc, argv, "--protocol", "ssrmin");
@@ -659,8 +746,7 @@ int cmd_run_multi(int argc, char** argv) {
   const std::string telemetry_path =
       value_of(argc, argv, "--telemetry-json", "");
   config.per_ring_telemetry = !telemetry_path.empty();
-  const auto duration = std::chrono::milliseconds(
-      std::atoll(value_of(argc, argv, "--duration-ms", "200")));
+  const auto duration = arg_duration_ms(argc, argv, 200);
 
   runtime::MultiRingReactor reactor(config);
   const runtime::ReactorReport r =
@@ -759,6 +845,9 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     }
+  } catch (const BadFlag& e) {
+    std::cerr << e.what() << '\n';
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
